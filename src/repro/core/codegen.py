@@ -18,10 +18,16 @@ pluggable host execution backends, mirroring how the stencil_code lineage
 hangs C/OpenMP/OpenCL transformers off a single kernel frontend:
 
 * ``"tcu-sim"`` (the default) — the simulated sparse/dense Tensor-Core
-  pipeline: per sweep, gather ``B'`` through the LUTs, run the fragment MMA
-  on the functional device model, assemble the interior.  Slow on the host
-  (it faithfully simulates the device data path) but it *is* the paper's
-  pipeline, and every golden fixture freezes its numerics.
+  pipeline, and every golden fixture freezes its numerics.  For a
+  ``sparse_mma`` plan, :func:`generate_kernel` folds the 2:4 metadata, the
+  conversion's permutation and the LUTs into a :class:`SlotTable` once;
+  each sweep then rounds the grid to the device precision once, multiplies
+  every retained slot's weight into one contiguous run of that staged grid
+  with fp32 accumulation, and assembles the interior — the generated
+  kernel's LUT-driven loads, without ever building ``B'``.  Its launch
+  timing is priced once per prepared plan from the operand shapes.  A
+  ``dense_mma`` (fp64) plan gathers ``B'`` and runs the functional dense
+  MMA every sweep.
 * ``"numpy"`` — a vectorised fast path: the effective (fused) kernel is
   applied directly as one shifted-view accumulation per tap, in float64.
   Elementwise and shape-independent, so sharded runs stay bit-identical to
@@ -71,6 +77,8 @@ from repro.util.validation import ValidationError, require, require_in
 
 __all__ = [
     "KernelPlan",
+    "SlotTable",
+    "build_slot_table",
     "generate_kernel",
     "render_cuda_source",
     "StencilBackend",
@@ -97,6 +105,168 @@ DENSE_KERNEL_REGISTERS = 52
 
 
 @dataclass(frozen=True)
+class SlotTable:
+    """Plan-constant operand slots of the sparse sweep (§3.3, "Lookup Table").
+
+    The generated kernel never builds ``B'``: its LUT-driven async copies
+    load each grid value straight into the operand slot the 2:4 metadata
+    selects.  This table is the host form of that mapping.  Compressed slot
+    ``kk`` of output row ``r`` multiplies converted row
+    ``c = group_base + indices[r, kk]``, which holds ``B'`` row
+    ``permutation[c]``: the grid at ``patch_offset[permutation[c]]`` plus
+    every tile corner of ``column_base``.
+
+    Because ``column_base`` is the regular tile lattice (stride ``r_i`` along
+    axis ``i``), the staged buffer splits the tile-padded grid into its
+    ``prod(r)`` polyphase components — phase ``q`` holds
+    ``grid[q_0::r_0, q_1::r_1, ...]`` — and each slot's operand across all
+    tiles becomes one contiguous run of that buffer, ``span`` elements long.
+    Positions of the run past a phase row's last tile are computed and
+    dropped.  Slots on the conversion's zero rows are left out: they
+    multiply an exact zero.
+
+    Attributes
+    ----------
+    rows: per output row, its ``(run offset, fp32 weight)`` terms in
+        compressed-slot order — the order the fp32 accumulation follows.
+    grid_shape: the grid extents the table stages.
+    tile_grid: tiles per axis.
+    tile_extent: the layout's tile extents ``r`` (phases per axis).
+    phase_shape: extents of one phase of the staged buffer.
+    span: elements in one slot's run.
+    stage_dtype: device precision operands are rounded to before staging.
+    """
+
+    rows: Tuple[Tuple[Tuple[int, np.float32], ...], ...]
+    grid_shape: Tuple[int, ...]
+    tile_grid: Tuple[int, ...]
+    tile_extent: Tuple[int, ...]
+    phase_shape: Tuple[int, ...]
+    span: int
+    stage_dtype: np.dtype
+
+    @property
+    def staged_shape(self) -> Tuple[int, ...]:
+        return (int(np.prod(self.tile_extent)),) + self.phase_shape
+
+    def stage(self, grid: np.ndarray) -> np.ndarray:
+        """Round ``grid`` to the device precision into the phase-split fp32 buffer.
+
+        Exact: gathering and permuting ``B'`` only copy values, so rounding
+        the grid once equals rounding every ``B'`` element.  Tile padding
+        stays zero.
+        """
+        require(tuple(grid.shape) == self.grid_shape,
+                f"grid shape {tuple(grid.shape)} does not match the slot "
+                f"table's {self.grid_shape}")
+        staged = np.zeros(self.staged_shape, dtype=np.float32)
+        rounded = (grid if self.stage_dtype == np.float32
+                   else grid.astype(self.stage_dtype))
+        for phase, residues in zip(staged, np.ndindex(*self.tile_extent)):
+            part = rounded[tuple(slice(q, None, r) for q, r
+                                 in zip(residues, self.tile_extent))]
+            phase[tuple(slice(0, s) for s in part.shape)] = part
+        return staged
+
+    def multiply(self, staged: np.ndarray) -> np.ndarray:
+        """``D = A'' @ B''`` over the slots of a :meth:`stage` buffer.
+
+        Each row accumulates ``w * run`` in fp32 from +0 in slot order —
+        bit-identical to :func:`repro.tcu.sparse_mma.sparse_mma_compressed`
+        on the materialised ``B''``.  Returns the ``(m', n')`` product in
+        float64, as the functional device model does.
+        """
+        require(staged.shape == self.staged_shape
+                and staged.dtype == np.float32 and staged.flags.c_contiguous,
+                "staged operand must be a C-contiguous fp32 buffer of shape "
+                f"{self.staged_shape}")
+        flat = staged.reshape(-1)
+        span = self.span
+        m = len(self.rows)
+        d = np.zeros((m, int(np.prod(self.phase_shape))), dtype=np.float32)
+        term = np.empty(span, dtype=np.float32)
+        for row, terms in zip(d, self.rows):
+            acc = row[:span]
+            for offset, weight in terms:
+                np.multiply(flat[offset:offset + span], weight, out=term)
+                acc += term
+        tiles = d.reshape((m,) + self.phase_shape)[
+            (slice(None),) + tuple(slice(0, t) for t in self.tile_grid)]
+        return tiles.astype(np.float64).reshape(m, -1)
+
+
+def build_slot_table(conversion: ConversionResult, metadata: SparseMetadata,
+                     lut: LookupTable, dtype: DataType) -> SlotTable:
+    """Fold the compiled 2:4 metadata, permutation and LUTs into a :class:`SlotTable`.
+
+    Built from ``metadata.compressed`` (not from the dense operand), so a
+    correct sweep result certifies the pipeline's metadata.  The runs rely
+    on ``lut.column_base`` being the regular tile lattice; a LUT that is not
+    raises :class:`~repro.util.validation.ValidationError`.
+    """
+    dtype = DataType(dtype)
+    require(dtype.supports_sparse_tcu,
+            f"{dtype.value} is not supported by sparse Tensor Cores")
+    compressed = metadata.compressed
+    require(compressed.k == conversion.n_total,
+            f"metadata encodes k={compressed.k} but the conversion has "
+            f"{conversion.n_total} columns")
+    require(conversion.n_original == lut.k_prime,
+            f"conversion covers {conversion.n_original} B' rows but the LUT "
+            f"has {lut.k_prime}")
+    indices = compressed.indices.astype(np.int64)
+    require(bool(np.all(indices <= 3)), "metadata indices must be 2-bit values")
+
+    padded = lut.padded_grid_shape
+    tiles = lut.tile_grid
+    extent = tuple(po // t for po, t in zip(lut.padded_out_shape, tiles))
+    grid_strides = [int(np.prod(padded[axis + 1:], dtype=np.int64))
+                    for axis in range(len(padded))]
+    lattice = sum(np.arange(t, dtype=np.int64).reshape(
+                      [t if a == axis else 1 for a in range(len(tiles))])
+                  * r * stride
+                  for axis, (t, r, stride) in enumerate(zip(tiles, extent,
+                                                            grid_strides)))
+    require(np.array_equal(lut.column_base.astype(np.int64),
+                           np.ravel(lattice)),
+            "lut.column_base is not the regular tile lattice; the sweep "
+            "cannot gather it as contiguous runs")
+
+    patch = lut.patch_offset.astype(np.int64)
+    require(bool(np.all((patch >= 0) & (patch < int(np.prod(padded))))),
+            "lut.patch_offset reaches outside the padded grid")
+    corner = np.stack(np.unravel_index(patch, padded), axis=-1)     # (k', d)
+    shift, residue = np.divmod(corner, np.asarray(extent))
+    phase_shape = tuple(-(-p // r) for p, r in zip(padded, extent))
+    require(bool(np.all(shift + np.asarray(tiles) <= np.asarray(phase_shape))),
+            "lut.patch_offset reaches past the last tile of the padded grid")
+    phase_strides = [int(np.prod(phase_shape[axis + 1:], dtype=np.int64))
+                     for axis in range(len(phase_shape))]
+    run_offset = (np.ravel_multi_index(residue.T, extent)
+                  * int(np.prod(phase_shape)) + shift @ phase_strides)
+
+    n_groups = compressed.k // 4
+    group_base = np.repeat(np.arange(n_groups, dtype=np.int64) * 4, 2)
+    sources = conversion.permutation[group_base[None, :] + indices]
+    weights = np.asarray(compressed.values,
+                         dtype=dtype.numpy_dtype).astype(np.float32)
+    rows = tuple(
+        tuple((int(run_offset[source]), weight)
+              for source, weight in zip(row_sources, row_weights)
+              if source < conversion.n_original)
+        for row_sources, row_weights in zip(sources, weights))
+    return SlotTable(
+        rows=rows,
+        grid_shape=lut.grid_shape,
+        tile_grid=tiles,
+        tile_extent=extent,
+        phase_shape=phase_shape,
+        span=sum((t - 1) * stride for t, stride in zip(tiles, phase_strides)) + 1,
+        stage_dtype=np.dtype(dtype.numpy_dtype),
+    )
+
+
+@dataclass(frozen=True)
 class KernelPlan:
     """A fully lowered stencil kernel, ready for the simulated device."""
 
@@ -116,6 +286,9 @@ class KernelPlan:
     blocks: int
     registers_per_thread: int = SPARSE_KERNEL_REGISTERS
     cuda_source: str = ""
+    #: Operand slots the ``tcu-sim`` sweep gathers through; ``None`` for
+    #: ``dense_mma`` plans, which keep the ``B'`` path.
+    slot_table: Optional[SlotTable] = None
 
     @property
     def m_prime(self) -> int:
@@ -216,6 +389,8 @@ def generate_kernel(
         conversion_method=conversion_method,
     )
     threads, blocks = _launch_geometry(block_hint, lut.n_prime, spec)
+    slot_table = (build_slot_table(conversion, metadata, lut, dtype)
+                  if conversion is not None and metadata is not None else None)
 
     plan = KernelPlan(
         pattern=pattern,
@@ -235,6 +410,7 @@ def generate_kernel(
         registers_per_thread=(SPARSE_KERNEL_REGISTERS if engine == "sparse_mma"
                               else DENSE_KERNEL_REGISTERS),
         cuda_source="",
+        slot_table=slot_table,
     )
     if render_source:
         object.__setattr__(plan, "cuda_source", render_cuda_source(plan))
@@ -440,8 +616,9 @@ class TcuSimBackend(StencilBackend):
     """The simulated-Tensor-Core pipeline (the paper's execution path)."""
 
     name = "tcu-sim"
-    description = ("gather B' through the LUTs, sparse/dense fragment MMA on "
-                   "the functional device model, assemble the interior")
+    description = ("stage the grid at device precision, accumulate the "
+                   "plan's 2:4 slot table in fp32 (dense plans: gather B' "
+                   "and run the dense MMA model), assemble the interior")
 
     def make_sweep(self, context):
         # Imported lazily: repro.engine.base imports this module (via

@@ -10,13 +10,17 @@ Turns the staircase kernel matrix ``A'`` produced by layout morphing into a
    Invariant Transformation so matched pairs land in adjacent K slots.
 
 The returned :class:`ConversionResult` also knows how to apply the same
-row permutation to any input matrix ``B'`` (done once per sweep by the
-generated kernel), preserving ``A' @ B' = A'' @ B''`` exactly.
+row permutation to any input matrix ``B'``, preserving
+``A' @ B' = A'' @ B''`` exactly.  The generated kernel folds the
+permutation into its load addresses instead (the ``tcu-sim`` sweep does the
+same through :class:`repro.core.codegen.SlotTable`); :meth:`apply_to_b` is
+the materialised reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -69,18 +73,19 @@ class ConversionResult:
         """Zero columns inserted (including the round-up to a multiple of 4)."""
         return self.n_total - self.n_original
 
-    @property
+    @cached_property
     def scatter_rows(self) -> np.ndarray:
         """Destination row (in the permuted space) of each original B' row.
 
         ``b_converted[scatter_rows[i]] = b_prime[i]`` reproduces
         :meth:`apply_to_b` without materialising the padded matrix first —
-        this is what the generated kernel's lookup table encodes.
+        this is what the generated kernel's lookup table encodes.  Computed
+        once per conversion and returned read-only.
         """
+        slots = np.flatnonzero(self.permutation < self.n_original)
         positions = np.empty(self.n_original, dtype=np.int64)
-        for slot, source in enumerate(self.permutation):
-            if source < self.n_original:
-                positions[source] = slot
+        positions[self.permutation[slots]] = slots
+        positions.flags.writeable = False
         return positions
 
     def apply_to_b(self, b_prime: np.ndarray) -> np.ndarray:

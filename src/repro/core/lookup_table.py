@@ -11,9 +11,12 @@ identical across blocks.  SparStencil precomputes them on the host:
   corner (constant across tiles).
 
 ``B'[i, j] = input.flat[column_base[j] + patch_offset[i]]`` then needs one
-addition per element.  The same tables drive the simulated kernel here: the
-per-sweep gather in :func:`gather_b_matrix` is how the run loop builds ``B'``,
-so the tables are functionally load-bearing, not just cost-model props.
+addition per element.  The same tables drive the simulated kernel here, so
+they are functionally load-bearing, not just cost-model props: a sparse
+plan's :class:`~repro.core.codegen.SlotTable` is compiled from
+``patch_offset`` and the tile lattice ``column_base`` encodes, and
+:func:`gather_b_matrix` builds ``B'`` for dense plans and as the reference
+the slot-table sweep is tested against.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The compile pipeline (:mod:`repro.core.pipeline`) stops at a
 :class:`~repro.core.pipeline.CompiledStencil`; this package owns everything
 after that:
 
-* :mod:`repro.engine.base` — the ``plan -> gather B' -> MMA -> assemble``
+* :mod:`repro.engine.base` — the ``plan -> gather -> MMA -> assemble``
   step API and the :class:`SweepExecutor` protocol;
 * :mod:`repro.engine.single` — :class:`SingleDeviceExecutor`, the original
   one-grid-one-device sweep loop (what ``execute_compiled`` wraps), now with

@@ -5,10 +5,19 @@ The compile side of the pipeline (:mod:`repro.core.pipeline`) produces a
 engine layer's job.  One sweep decomposes into three steps, mirroring the
 generated kernel's stages:
 
-1. :func:`gather_step` — build ``B'`` from the current grid through the
-   lookup tables and apply the conversion's row permutation;
-2. :func:`mma_step` — issue the (sparse or dense) MMA on the simulated
-   Tensor Cores, producing the functional result and the modelled timing;
+1. :func:`gather_step` — stage the operand.  A ``sparse_mma`` plan rounds
+   the grid once to the device precision into a tile-padded fp32 buffer,
+   split into the tile lattice's phases
+   (:meth:`~repro.core.codegen.SlotTable.stage`); like the generated
+   kernel, it never builds ``B'``.  A ``dense_mma`` plan gathers ``B'``
+   through the lookup tables;
+2. :func:`mma_step` — the MMA on the simulated Tensor Cores.  A sparse plan
+   accumulates its compile-time slot table
+   (:meth:`~repro.core.codegen.SlotTable.multiply`) — one contiguous run of
+   the staged buffer per retained 2:4 slot, in fp32 and slot order — and
+   attaches the launch priced once per context from the plan's shapes; a
+   dense plan runs the functional device model
+   (:func:`~repro.tcu.executor.execute_launch`);
 3. :func:`assemble_step` — reassemble ``D`` into the grid interior (the
    halo ring is the *executor's* responsibility, per the plan's boundary
    condition).
@@ -20,7 +29,8 @@ steps — how many sweeps, on how many devices, with what halo movement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
@@ -32,8 +42,9 @@ from repro.core.pipeline import CompiledStencil, StencilRunResult
 from repro.stencils.grid import Grid
 from repro.stencils.reference import stencil_points_updated
 from repro.tcu.counters import combine_utilization
-from repro.tcu.executor import KernelLaunch, LaunchResult, execute_launch
+from repro.tcu.executor import KernelLaunch, LaunchResult, execute_launch, price_launch
 from repro.tcu.spec import GPUSpec
+from repro.tcu.timing import mma_count
 from repro.util.validation import require
 
 __all__ = [
@@ -93,6 +104,29 @@ class SweepContext:
     def radius(self) -> int:
         return self.compiled.pattern.radius
 
+    @cached_property
+    def priced_launch(self) -> LaunchResult:
+        """The modelled timing of one slot-table sweep, priced from shapes.
+
+        Every sweep of a plan issues the same launch, so it is priced once
+        per context — by the formulas :func:`execute_launch` uses, with
+        ``fragment_ops`` from the operand shapes — and each sweep attaches
+        its output to it.
+        """
+        plan = self.plan
+        return price_launch(
+            self.launch_name, plan.engine,
+            mma_count(plan.m_prime, plan.metadata.compressed.k, plan.n_prime,
+                      plan.fragment),
+            fragment=plan.fragment,
+            dtype=plan.dtype,
+            traffic=plan.estimate.traffic,
+            threads_per_block=plan.threads_per_block,
+            blocks=plan.blocks,
+            registers_per_thread=plan.registers_per_thread,
+            spec=self.spec,
+        )
+
 
 def prepare_sweep(compiled: CompiledStencil,
                   spec: Optional[GPUSpec] = None) -> SweepContext:
@@ -119,17 +153,29 @@ def prepare_sweep(compiled: CompiledStencil,
 
 
 def gather_step(context: SweepContext, current: np.ndarray) -> np.ndarray:
-    """Stage 1: gather ``B'`` through the LUTs and permute its rows."""
+    """Stage 1: stage the MMA's B operand from the current grid.
+
+    A plan with a slot table returns the grid rounded to the device
+    precision in its phase-split, tile-padded fp32 buffer; a dense plan
+    returns ``B'`` gathered through the LUTs.
+    """
     plan = context.plan
-    b_prime = gather_b_matrix(plan.lut, current)
-    if plan.conversion is not None:
-        return plan.conversion.apply_to_b(b_prime)
-    return b_prime
+    if plan.slot_table is not None:
+        return plan.slot_table.stage(current)
+    return gather_b_matrix(plan.lut, current)
 
 
 def mma_step(context: SweepContext, b_operand: np.ndarray) -> LaunchResult:
-    """Stage 2: run the fragment MMA on the simulated device."""
+    """Stage 2: run the fragment MMA on the simulated device.
+
+    A plan with a slot table multiplies the staged buffer slot by slot and
+    reuses the context's :attr:`~SweepContext.priced_launch`; a dense plan
+    executes a :class:`KernelLaunch` on the functional device model.
+    """
     plan = context.plan
+    if plan.slot_table is not None:
+        return replace(context.priced_launch,
+                       output=plan.slot_table.multiply(b_operand))
     launch = KernelLaunch(
         name=context.launch_name,
         engine=plan.engine,
@@ -159,7 +205,7 @@ def run_sweep(context: SweepContext, current: np.ndarray) -> LaunchResult:
 
     Dispatches to the backend closure bound at :func:`prepare_sweep` time.
     Under the default ``"tcu-sim"`` backend this is exactly the
-    ``gather B' -> MMA -> assemble`` sequence of :func:`gather_step` /
+    ``gather -> MMA -> assemble`` sequence of :func:`gather_step` /
     :func:`mma_step` / :func:`assemble_step`; other backends substitute
     their own host implementation while preserving the interior-update
     contract.

@@ -4,7 +4,8 @@ A :class:`KernelLaunch` is the lowest-level description of one device kernel:
 its operands, the execution engine it targets (sparse Tensor Cores, dense
 Tensor Cores, or the scalar FFMA pipeline), its memory traffic and its launch
 geometry.  :func:`execute_launch` produces both the functional result and the
-modelled timing/utilisation, which is everything the benchmark harness needs.
+modelled timing/utilisation, which is everything the benchmark harness needs;
+:func:`price_launch` is its timing half alone, priced from shapes.
 
 The SparStencil kernel generator (:mod:`repro.core.codegen`) and all the
 baselines lower to this same interface, so every method is costed by one
@@ -13,7 +14,7 @@ model and verified by one functional path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.tcu.spec import A100_SPEC, DataType, FragmentShape, GPUSpec
 from repro.tcu.timing import compute_time, ffma_time, mma_count
 from repro.util.validation import require, require_in
 
-__all__ = ["KernelLaunch", "LaunchResult", "execute_launch"]
+__all__ = ["KernelLaunch", "LaunchResult", "execute_launch", "price_launch"]
 
 
 @dataclass
@@ -108,27 +109,40 @@ def _run_engine(launch: KernelLaunch) -> tuple[Optional[np.ndarray], int]:
     return result.d, result.fragment_ops
 
 
-def execute_launch(launch: KernelLaunch, spec: GPUSpec = A100_SPEC) -> LaunchResult:
-    """Execute one kernel launch on the simulated device.
+def price_launch(
+    name: str,
+    engine: str,
+    fragment_ops: int,
+    *,
+    fragment: Optional[FragmentShape],
+    dtype: DataType,
+    traffic: MemoryTraffic,
+    threads_per_block: int,
+    blocks: int,
+    registers_per_thread: int,
+    flops: float = 0.0,
+    repeats: int = 1,
+    spec: GPUSpec = A100_SPEC,
+) -> LaunchResult:
+    """Modelled timing of a launch from its shapes alone (``output`` is ``None``).
 
-    The functional result is computed once; modelled time is multiplied by
-    ``launch.repeats`` (the benchmark iteration count), matching how the
-    paper times ``T`` iterations of the same kernel.
+    ``fragment_ops`` is the per-iteration fragment count (0 for the FFMA
+    engine, which is priced from ``flops``).  :func:`execute_launch`
+    prices through this function, so a caller that knows a launch's shapes
+    — the ``tcu-sim`` sweep, which reuses one plan's launch every sweep —
+    gets the same bits without running the functional model.
     """
-    output, fragment_ops = _run_engine(launch)
-
-    if launch.engine == "ffma":
-        per_iter_compute = ffma_time(launch.flops, spec, dtype=launch.dtype)
+    require_in(engine, ("sparse_mma", "dense_mma", "ffma"), "engine")
+    if engine == "ffma":
+        per_iter_compute = ffma_time(flops, spec, dtype=dtype)
     else:
-        require(launch.fragment is not None,
-                f"launch {launch.name!r} needs a fragment to price "
-                f"{launch.engine} compute")
-        per_iter_compute = compute_time(fragment_ops, spec, launch.fragment,
-                                        dtype=launch.dtype)
-    per_iter_memory = memory_time(launch.traffic, spec)
+        require(fragment is not None,
+                f"launch {name!r} needs a fragment to price {engine} compute")
+        per_iter_compute = compute_time(fragment_ops, spec, fragment,
+                                        dtype=dtype)
+    per_iter_memory = memory_time(traffic, spec)
     per_iter_elapsed = max(per_iter_compute, per_iter_memory)
 
-    repeats = launch.repeats
     compute_seconds = per_iter_compute * repeats
     memory_seconds = per_iter_memory * repeats
     elapsed = per_iter_elapsed * repeats
@@ -137,19 +151,42 @@ def execute_launch(launch: KernelLaunch, spec: GPUSpec = A100_SPEC) -> LaunchRes
         compute_seconds=compute_seconds,
         memory_seconds=memory_seconds,
         elapsed_seconds=max(elapsed, 1e-30),
-        traffic=launch.traffic.scaled(repeats),
+        traffic=traffic.scaled(repeats),
         spec=spec,
-        threads_per_block=launch.threads_per_block,
-        blocks=launch.blocks,
-        registers_per_thread=launch.registers_per_thread,
+        threads_per_block=threads_per_block,
+        blocks=blocks,
+        registers_per_thread=registers_per_thread,
     )
 
     return LaunchResult(
-        name=launch.name,
-        output=output,
+        name=name,
+        output=None,
         elapsed_seconds=elapsed,
         compute_seconds=compute_seconds,
         memory_seconds=memory_seconds,
         fragment_ops=fragment_ops * repeats,
         utilization=utilization,
     )
+
+
+def execute_launch(launch: KernelLaunch, spec: GPUSpec = A100_SPEC) -> LaunchResult:
+    """Execute one kernel launch on the simulated device.
+
+    The functional result is computed once; modelled time is multiplied by
+    ``launch.repeats`` (the benchmark iteration count), matching how the
+    paper times ``T`` iterations of the same kernel.
+    """
+    output, fragment_ops = _run_engine(launch)
+    priced = price_launch(
+        launch.name, launch.engine, fragment_ops,
+        fragment=launch.fragment,
+        dtype=launch.dtype,
+        traffic=launch.traffic,
+        threads_per_block=launch.threads_per_block,
+        blocks=launch.blocks,
+        registers_per_thread=launch.registers_per_thread,
+        flops=launch.flops,
+        repeats=launch.repeats,
+        spec=spec,
+    )
+    return replace(priced, output=output)

@@ -52,7 +52,8 @@ def sparse_mma_compressed(
 
     The computation gathers ``B[group_base + index]`` per retained value and
     reduces over the compressed K/2 dimension — the same dataflow the sparse
-    Tensor Core implements in silicon.
+    Tensor Core implements in silicon — accumulating fp32 products in slot
+    order.
     """
     b = require_array(b, "b", ndim=2)
     require(fragment.sparse, "sparse_mma requires a sparse fragment shape")
@@ -79,15 +80,18 @@ def sparse_mma_compressed(
     acc_dtype = np.float32
     # Gather the B rows each retained value multiplies: (m, k/2, n) would be
     # large for big problems, so reduce in chunks of rows to bound memory.
-    d = np.empty((m, n), dtype=acc_dtype)
+    # Products accumulate in fp32 from +0 in slot order: a defined order
+    # (einsum regroups the sum when n == 1), and the one the tcu-sim
+    # slot-table sweep reproduces bit for bit.
+    d = np.zeros((m, n), dtype=acc_dtype)
     row_chunk = max(1, int(2**22 // max(1, (k // 2) * n)))
     for start in range(0, m, row_chunk):
         stop = min(m, start + row_chunk)
-        gathered = b_pad[gather_cols[start:stop]]                    # (r, k/2, n)
-        vals = values[start:stop].astype(acc_dtype)[:, :, None]      # (r, k/2, 1)
-        d[start:stop] = np.einsum(
-            "rkn,rkn->rn", gathered.astype(acc_dtype), np.broadcast_to(vals, gathered.shape)
-        )
+        gathered = b_pad[gather_cols[start:stop]].astype(acc_dtype)  # (r, k/2, n)
+        vals = values[start:stop].astype(acc_dtype)                  # (r, k/2)
+        acc = d[start:stop]
+        for slot in range(k // 2):
+            acc += vals[:, slot, None] * gathered[:, slot, :]
 
     if c is not None:
         c = require_array(c, "c", ndim=2)

@@ -145,6 +145,9 @@ class TestConvertTo24:
         scatter = conversion.scatter_rows
         for original, slot in enumerate(scatter):
             assert conversion.permutation[slot] == original
+        # computed once and shared, so callers must not be able to mutate it
+        assert conversion.scatter_rows is scatter
+        assert not scatter.flags.writeable
 
     def test_padded_column_count_multiple_of_4(self, box2d49p):
         cfg = MorphConfig.from_r1_r2(2, 6, 3)
