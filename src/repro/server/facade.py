@@ -526,10 +526,11 @@ class StencilServer:
                         "ServerClosedError")
                 return
             route_end = time.perf_counter()
+            memo = self.scheduler.memo_outcome()
             for item in live:
                 if item.span is not None:
                     tracer.record("route", route_start, route_end,
-                                  parent=item.span,
+                                  parent=item.span, memo=memo,
                                   executor=decision.executor,
                                   devices=decision.devices,
                                   halo_depth=decision.halo_depth,

@@ -19,6 +19,20 @@ model is introduced):
   best modelled speedup wins, provided it beats ``min_speedup`` and the
   exposed-exchange share of the round stays under ``max_halo_fraction``.
 
+Decisions are memoized per scheduler, just as a plan is compiled once per
+stencil: the model is priced once per distinct input, and a warm
+``mode="auto"`` solve or served batch only looks the decision up.  A kernel
+decision is keyed by exactly what
+:meth:`DevicePoolScheduler.decide` reads — grid shape, pattern ndim and
+radius, ``plan.config``, boundary, dtype itemsize, ``plan.estimate.t_total``,
+whether the iteration count divides the temporal-fusion factor, and the
+clamped free-device count; a program decision by the program fingerprint
+and name, ``steps`` and the clamped free count.  The pool, interconnect and
+thresholds are fixed for the scheduler's life, so they need no key field.
+The memo holds at most :data:`ROUTE_MEMO_LIMIT` decisions and is cleared
+when full; hits and misses are counted in the global metrics registry
+(``scheduler.route_memo_hits`` / ``scheduler.route_memo_misses``).
+
 Occupancy is enforced by the :class:`repro.tcu.occupancy.OccupancyLedger`:
 :meth:`DevicePoolScheduler.route` decides and leases in one step, and the
 lease protocol guarantees in-use devices never exceed the pool size.
@@ -29,7 +43,8 @@ from __future__ import annotations
 import contextlib
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional, \
+    Tuple, Union
 
 import numpy as np
 
@@ -44,12 +59,52 @@ from repro.util.validation import ValidationError, require, require_positive_int
 __all__ = ["RouteCancelledError", "RoutingDecision", "DevicePoolScheduler"]
 
 
+#: Decisions one scheduler memoizes before it clears the memo and starts
+#: over.  Each entry is one key and one shared frozen decision; a workload
+#: cycling through more distinct inputs than this pays the model again.
+ROUTE_MEMO_LIMIT = 4096
+
+
 def _infeasible_partitions():
     """The global-registry counter of sharding candidates the partition
     geometry rejected (fetched per use: tests reset the registry)."""
     return global_registry().counter(
         "scheduler.infeasible_partitions",
-        "sharding candidates rejected by partition geometry")
+        "distinct sharding candidates rejected by partition geometry "
+        "(counted when a decision is computed, not on memo hits)")
+
+
+_MEMO_COUNTERS = {
+    "hit": ("scheduler.route_memo_hits",
+            "routing decisions answered from the scheduler memo"),
+    "miss": ("scheduler.route_memo_misses",
+             "routing decisions the scheduler had to compute"),
+}
+
+
+class _KernelKey(NamedTuple):
+    """Every input a plain-kernel routing decision reads."""
+
+    grid_shape: Tuple[int, ...]
+    ndim: int
+    radius: int
+    config: MorphConfig
+    boundary: str
+    itemsize: int
+    sweep_seconds: float          # plan.estimate.t_total
+    fusion_divides: bool          # iterations % temporal_fusion == 0
+    free: int                     # clamped free-device count
+
+
+class _ProgramKey(NamedTuple):
+    """Every input a program routing decision reads.  The fingerprint pins
+    the stages, wiring, grid, boundary, dtype and device; the name is not
+    in it but is quoted by the model's not-shardable reasons."""
+
+    fingerprint: str
+    name: str
+    steps: int
+    free: int
 
 
 class RouteCancelledError(RuntimeError):
@@ -76,15 +131,14 @@ class RoutingDecision:
         return self.executor == "sharded"
 
 
-def _shardable(compiled: CompiledStencil) -> bool:
-    """Whether the sharded executor supports this plan's layout at all."""
-    config = compiled.plan.config
-    pattern = compiled.pattern
-    return MorphConfig.from_r1_r2(pattern.ndim, config.r1, config.r2) == config
-
-
 class DevicePoolScheduler:
     """Pick executors for compiled plans over a shared pool of devices.
+
+    :meth:`decide` and :meth:`decide_program` memoize their decisions on
+    this instance (see the module docstring for the keys).  The parameters
+    below are fixed for the scheduler's life — nothing reassigns them after
+    construction — so a memoized decision stays the one the model would
+    compute again.
 
     Parameters
     ----------
@@ -149,11 +203,48 @@ class DevicePoolScheduler:
         self.route_retries = route_retries
         self.ledger = ledger if ledger is not None \
             else OccupancyLedger(pool.device_count)
+        self._memo: Dict[Tuple[Any, ...], RoutingDecision] = {}
+        # guards only the memo's get and put, never a model computation
+        self._memo_lock = threading.Lock()
+        self._memo_outcome = threading.local()
+
+    # ------------------------------------------------------------------ #
+    # memo
+    # ------------------------------------------------------------------ #
+    def _clamp_free(self, free_devices: Optional[int]) -> int:
+        free = self.ledger.free if free_devices is None else free_devices
+        return max(0, min(free, self.pool.device_count))
+
+    def _memoized(self, key: Tuple[Any, ...],
+                  compute: Callable[[], RoutingDecision]) -> RoutingDecision:
+        """The memoized decision for ``key``, computing it on a miss.
+
+        Two threads missing on one key both compute; the model is
+        deterministic, so either result may be kept.
+        """
+        with self._memo_lock:
+            decision = self._memo.get(key)
+        outcome = "hit" if decision is not None else "miss"
+        if decision is None:
+            decision = compute()
+            with self._memo_lock:
+                if len(self._memo) >= ROUTE_MEMO_LIMIT:
+                    self._memo.clear()
+                self._memo[key] = decision
+        self._memo_outcome.value = outcome
+        global_registry().counter(*_MEMO_COUNTERS[outcome]).inc()
+        return decision
+
+    def memo_outcome(self) -> str:
+        """``"hit"`` or ``"miss"``: how the calling thread's latest
+        :meth:`decide` / :meth:`decide_program` was answered (``""``
+        before its first)."""
+        return getattr(self._memo_outcome, "value", "")
 
     # ------------------------------------------------------------------ #
     # decision model
     # ------------------------------------------------------------------ #
-    def _sharded_estimate(self, compiled: CompiledStencil, devices: int
+    def _sharded_estimate(self, key: _KernelKey, devices: int
                           ) -> Optional[Tuple[float, float, int]]:
         """``(modelled speedup, halo fraction, halo depth)`` of a
         ``devices``-way shard at its best communication-avoiding depth.
@@ -169,13 +260,12 @@ class DevicePoolScheduler:
         """
         from repro.engine.sharded import model_round
 
-        sweep = compiled.plan.estimate.t_total
-        align = compiled.plan.config.r
-        radius = compiled.pattern.radius
+        sweep = key.sweep_seconds
+        align = key.config.r
         try:
             feasible = GridPartition.max_halo_depth(
-                compiled.grid_shape, radius, devices, align=align,
-                boundary=compiled.boundary)
+                key.grid_shape, key.radius, devices, align=align,
+                boundary=key.boundary)
         except ValidationError:
             # the geometry cannot host this shard count at all — a
             # modelling fact, not a fault, but counted so a pool that
@@ -186,7 +276,6 @@ class DevicePoolScheduler:
             depths = [min(self.halo_depth, feasible)]
         else:
             depths = range(1, min(self.max_halo_depth, feasible) + 1)
-        itemsize = compiled.plan.dtype.itemsize
         best: Optional[Tuple[float, float, int]] = None
         for depth in depths:
             try:
@@ -194,15 +283,15 @@ class DevicePoolScheduler:
                 # messages at the global edges, and the decision must bill
                 # what the sharded executor will bill
                 partition = GridPartition.build(
-                    compiled.grid_shape, radius, devices, align=align,
-                    boundary=compiled.boundary, halo_depth=depth)
+                    key.grid_shape, key.radius, devices, align=align,
+                    boundary=key.boundary, halo_depth=depth)
             except ValidationError:
                 _infeasible_partitions().inc()
                 continue
             if partition.n_shards > devices or partition.n_shards < 2:
                 return None
-            round_model = model_round(partition, self.pool, itemsize, sweep,
-                                      overlap=self.overlap)
+            round_model = model_round(partition, self.pool, key.itemsize,
+                                      sweep, overlap=self.overlap)
             speedup = sweep / round_model.per_sweep_seconds \
                 if round_model.per_sweep_seconds > 0 else 0.0
             if best is None or speedup > best[0]:
@@ -211,30 +300,51 @@ class DevicePoolScheduler:
 
     def decide(self, compiled: CompiledStencil, iterations: int,
                free_devices: Optional[int] = None) -> RoutingDecision:
-        """Routing decision for one plan given the pool's free devices."""
+        """Routing decision for one plan given the pool's free devices
+        (``None``: the ledger's live free count), memoized per
+        :meth:`_kernel_key`."""
+        key = self._kernel_key(compiled, iterations, free_devices)
+        return self._memoized(key, lambda: self._decide_kernel(key))
+
+    def _kernel_key(self, compiled: CompiledStencil, iterations: int,
+                    free_devices: Optional[int]) -> _KernelKey:
+        """The memo key of :meth:`decide`: every input the decision reads,
+        and all that :meth:`_decide_kernel` is given."""
         require_positive_int(iterations, "iterations")
-        free = self.ledger.free if free_devices is None else free_devices
-        free = max(0, min(free, self.pool.device_count))
-        sweep = compiled.plan.estimate.t_total
+        plan = compiled.plan
+        return _KernelKey(
+            grid_shape=compiled.grid_shape,
+            ndim=compiled.pattern.ndim,
+            radius=compiled.pattern.radius,
+            config=plan.config,
+            boundary=compiled.boundary,
+            itemsize=plan.dtype.itemsize,
+            sweep_seconds=plan.estimate.t_total,
+            fusion_divides=iterations % compiled.temporal_fusion == 0,
+            free=self._clamp_free(free_devices))
+
+    def _decide_kernel(self, key: _KernelKey) -> RoutingDecision:
+        sweep = key.sweep_seconds
 
         def single(reason: str) -> RoutingDecision:
             return RoutingDecision(
                 executor="single", devices=1, reason=reason,
                 sweep_seconds=sweep, modelled_speedup=1.0, halo_fraction=0.0)
 
-        if free < 2:
+        if key.free < 2:
             return single("pool busy: fewer than 2 devices free")
-        if iterations % compiled.temporal_fusion != 0:
+        if not key.fusion_divides:
             return single("iterations not divisible by the temporal-fusion "
                           "factor (leftover sweeps are single-device)")
-        if not _shardable(compiled):
+        config = key.config
+        if MorphConfig.from_r1_r2(key.ndim, config.r1, config.r2) != config:
             return single("layout not expressible as (r1, r2); sharded "
                           "execution unsupported")
 
         best: Optional[RoutingDecision] = None
         devices = 2
-        while devices <= free:
-            estimate = self._sharded_estimate(compiled, devices)
+        while devices <= key.free:
+            estimate = self._sharded_estimate(key, devices)
             if estimate is not None:
                 speedup, halo_fraction, halo_depth = estimate
                 if (halo_fraction <= self.max_halo_fraction
@@ -264,13 +374,22 @@ class DevicePoolScheduler:
         :meth:`decide` — and applies the identical ``min_speedup`` /
         ``max_halo_fraction`` gates.  The halo depth is not searched here:
         a program's depth is its fusion-group span (consecutive equal-radius
-        stages under one exchange), clamped by the geometry.
+        stages under one exchange), clamped by the geometry.  Memoized by
+        program fingerprint and name, ``steps`` and the clamped free count.
         """
+        require_positive_int(steps, "steps")
+        key = _ProgramKey(fingerprint=plan.fingerprint,
+                          name=plan.program.name, steps=steps,
+                          free=self._clamp_free(free_devices))
+        return self._memoized(key, lambda: self._decide_program(key, plan))
+
+    def _decide_program(self, key: _ProgramKey, plan: "Any"
+                        ) -> RoutingDecision:
+        """The uncached program decision.  ``plan`` is read only through
+        what ``key.fingerprint`` pins (stage plans, wiring, grid, boundary,
+        dtype, device) and its name, which ``key.name`` carries."""
         from repro.programs.executor import model_program
 
-        require_positive_int(steps, "steps")
-        free = self.ledger.free if free_devices is None else free_devices
-        free = max(0, min(free, self.pool.device_count))
         step_seconds = plan.single_step_seconds
 
         def single(reason: str) -> RoutingDecision:
@@ -279,15 +398,15 @@ class DevicePoolScheduler:
                 sweep_seconds=step_seconds, modelled_speedup=1.0,
                 halo_fraction=0.0)
 
-        if free < 2:
+        if key.free < 2:
             return single("pool busy: fewer than 2 devices free")
 
         best: Optional[RoutingDecision] = None
         devices = 2
-        while devices <= free:
+        while devices <= key.free:
             spec = self.pool.with_overrides(
                 device=plan.stages[0].compiled[0].spec, device_count=devices)
-            model = model_program(plan, devices=devices, steps=steps,
+            model = model_program(plan, devices=devices, steps=key.steps,
                                   fuse=True, overlap=self.overlap, spec=spec)
             if model.sharded_seconds is not None:
                 speedup = model.single_seconds / model.sharded_seconds \

@@ -79,6 +79,19 @@ class TestServedShardedTrace:
         assert route.attrs["devices"] >= 1
         assert route.attrs["halo_depth"] >= 1
         assert "reason" in route.attrs
+        assert route.attrs["memo"] == "miss"    # a fresh session's first
+
+    def test_warm_route_span_is_a_memo_hit(self, solution, traced_session,
+                                           tracer):
+        again = traced_session.solve(
+            Problem(heat2d_pattern(), make_grid((1024, 1024), kind="random",
+                                                seed=4),
+                    iterations=8, tag="warm"),
+            SolvePolicy(mode="served"))
+        route = next(s for s in tracer.spans(again.provenance.trace_id)
+                     if s.name == "route")
+        assert route.attrs["memo"] == "hit"
+        assert route.attrs["executor"] == solution.provenance.delegate
 
     def test_sharded_rounds_nest_halo_and_sweeps(self, solution, tracer):
         if solution.provenance.delegate != "sharded":

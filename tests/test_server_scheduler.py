@@ -1,18 +1,30 @@
 """Device-pool scheduler + occupancy ledger tests: routing by the perf
-model, atomic leasing, and the never-over-capacity invariant."""
+model, atomic leasing, the never-over-capacity invariant, and the routing
+memo (a warm decision equals the model's fresh one)."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.morphing import MorphConfig
 from repro.core.pipeline import compile_stencil
+from repro.obs.metrics import reset_global_registry
+from repro.programs import StencilProgram, compile_program
 from repro.server import DevicePoolScheduler
 from repro.server.scheduler import RouteCancelledError
+from repro.stencils.boundary import neumann
+from repro.stencils.grid import make_grid
+from repro.stencils.pattern import StencilPattern
 from repro.tcu.occupancy import OccupancyLedger
-from repro.tcu.spec import MultiDeviceSpec
+from repro.tcu.spec import DataType, MultiDeviceSpec
 from repro.util.validation import ValidationError
 
 
@@ -319,6 +331,273 @@ class TestHaloDepthRouting:
         decision = DevicePoolScheduler(4).decide(small, 2)
         assert decision.executor == "single"
         assert decision.halo_depth == 1
+
+
+# --------------------------------------------------------------------- #
+# routing memo
+# --------------------------------------------------------------------- #
+
+MEMO_SETTINGS = dict(max_examples=25, deadline=None)
+
+#: Every boundary kind, Neumann with a non-zero flux included.
+BOUNDARIES = ["dirichlet", "periodic", "reflect", neumann(0.5)]
+
+#: Pool interconnects: the default NVLink model, on which the small
+#: generated grids are latency-bound and stay single, and a near-ideal link
+#: on which they shard — so both branches of the model are memoized.
+LINKS = [{}, dict(interconnect_bandwidth_gbs=1e4, link_latency_seconds=1e-9)]
+
+#: Per-axis extent range of the generated (ragged) grids, by ndim.
+EXTENTS = {1: (40, 400), 2: (20, 110), 3: (10, 22)}
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_plan(kind, ndim, radius, shape, boundary, backend, fusion,
+                 r1, r2):
+    pattern = getattr(StencilPattern, kind)(ndim, radius)
+    return compile_stencil(pattern, shape, temporal_fusion=fusion,
+                           boundary=boundary, backend=backend,
+                           search=False, r1=r1, r2=r2)
+
+
+@functools.lru_cache(maxsize=None)
+def _program_plan(name, ndim, stages, shape, boundary, backend):
+    program = StencilProgram.chain(
+        name, [(f"s{index}", getattr(StencilPattern, kind)(ndim, radius))
+               for index, (kind, radius) in enumerate(stages)])
+    return compile_program(
+        program, make_grid(shape, seed=0, boundary=boundary),
+        options=dict(backend=backend, search=False, r1=2, r2=2))
+
+
+def _shape(draw, ndim):
+    low, high = EXTENTS[ndim]
+    return tuple(draw(st.integers(low, high)) for _ in range(ndim))
+
+
+def _pool(draw):
+    return MultiDeviceSpec(device_count=draw(st.sampled_from([1, 2, 4, 8])),
+                           **draw(st.sampled_from(LINKS)))
+
+
+@st.composite
+def kernel_cases(draw):
+    ndim = draw(st.integers(1, 3))
+    plan = _kernel_plan(draw(st.sampled_from(["star", "box"])), ndim,
+                        draw(st.integers(1, 2)), _shape(draw, ndim),
+                        draw(st.sampled_from(BOUNDARIES)),
+                        draw(st.sampled_from(["tcu-sim", "numpy"])),
+                        draw(st.sampled_from([1, 2])),
+                        draw(st.sampled_from([1, 2, 4])),
+                        draw(st.sampled_from([1, 2])))
+    # odd counts leave a temporal-fusion remainder when fusion is 2
+    iterations = draw(st.integers(1, 6))
+    pool = _pool(draw)
+    free = draw(st.integers(0, pool.device_count))
+    halo_depth = draw(st.sampled_from([None, 1, 2]))
+    return plan, iterations, free, pool, halo_depth
+
+
+@st.composite
+def program_cases(draw):
+    ndim = draw(st.integers(1, 3))
+    stages = tuple(draw(st.lists(
+        st.tuples(st.sampled_from(["star", "box"]), st.integers(1, 2)),
+        min_size=1, max_size=3)))
+    spec = (draw(st.sampled_from(["heat", "blur"])), ndim, stages,
+            _shape(draw, ndim), draw(st.sampled_from(BOUNDARIES)),
+            draw(st.sampled_from(["tcu-sim", "numpy"])))
+    steps = draw(st.integers(1, 4))
+    pool = _pool(draw)
+    return spec, steps, draw(st.integers(0, pool.device_count)), pool
+
+
+def _kernel_variants(plan, iterations, free, device_count):
+    """``(plan, iterations, free)`` inputs that each differ from the case
+    in exactly one input a kernel decision reads.  The plans are copies
+    with only that field edited, so a memo key missing any field makes one
+    of them collide with the case."""
+    pattern, inner = plan.pattern, plan.plan
+    estimate = inner.estimate
+    boundary = BOUNDARIES[(BOUNDARIES.index(plan.boundary) + 1)
+                          % len(BOUNDARIES)]
+    edits = [
+        dict(grid_shape=plan.grid_shape[:-1] + (plan.grid_shape[-1] + 8,)),
+        dict(pattern=StencilPattern.star(pattern.ndim % 3 + 1,
+                                         pattern.radius)),
+        dict(pattern=StencilPattern.star(pattern.ndim, pattern.radius + 1)),
+        dict(boundary=boundary),
+        # doubling every extent makes a 3-D config inexpressible as (r1, r2)
+        dict(plan=dataclasses.replace(inner, config=MorphConfig(
+            tuple(2 * extent for extent in inner.config.r)))),
+        dict(plan=dataclasses.replace(
+            inner, dtype=DataType.FP64 if inner.dtype.itemsize != 8
+            else DataType.FP16)),
+        dict(plan=dataclasses.replace(inner, estimate=dataclasses.replace(
+            estimate, t_compute=2 * estimate.t_total))),
+    ]
+    variants = [(dataclasses.replace(plan, **edit), iterations, free)
+                for edit in edits]
+    # flips "iterations divide the fusion factor" when fusion is 2, and
+    # must share the case's decision when it is 1
+    variants.append((plan, iterations + 1, free))
+    variants += [(plan, iterations, other)
+                 for other in range(device_count + 1) if other != free]
+    return variants
+
+
+class TestRoutingMemo:
+    """A memoized decision is the one the model computes fresh: its key
+    holds every input the decision reads, and nothing is shared across
+    schedulers."""
+
+    @settings(**MEMO_SETTINGS)
+    @given(case=kernel_cases())
+    def test_warm_decide_equals_fresh(self, case):
+        plan, iterations, free, pool, halo_depth = case
+        warm = DevicePoolScheduler(pool, halo_depth=halo_depth)
+        for variant, its, other in _kernel_variants(plan, iterations, free,
+                                                    pool.device_count):
+            warm.decide(variant, its, free_devices=other)
+        first = warm.decide(plan, iterations, free_devices=free)
+        memoized = warm.decide(plan, iterations, free_devices=free)
+        assert warm.memo_outcome() == "hit"
+        assert memoized is first
+        fresh = DevicePoolScheduler(pool, halo_depth=halo_depth).decide(
+            plan, iterations, free_devices=free)
+        assert dataclasses.asdict(memoized) == dataclasses.asdict(fresh)
+
+    @settings(**MEMO_SETTINGS)
+    @given(case=program_cases())
+    def test_warm_decide_program_equals_fresh(self, case):
+        spec, steps, free, pool = case
+        name, ndim, stages, shape, boundary, backend = spec
+        plan = _program_plan(*spec)
+        variants = [
+            # another fingerprint under the same name
+            (_program_plan(name, ndim, stages,
+                           shape[:-1] + (shape[-1] + 8,), boundary,
+                           backend), steps, free),
+            # the same fingerprint under another name
+            (_program_plan("blur" if name == "heat" else "heat", ndim,
+                           stages, shape, boundary, backend), steps, free),
+            (plan, steps + 1, free),
+        ] + [(plan, steps, other)
+             for other in range(pool.device_count + 1) if other != free]
+        warm = DevicePoolScheduler(pool)
+        for variant, its, other in variants:
+            warm.decide_program(variant, its, free_devices=other)
+        first = warm.decide_program(plan, steps, free_devices=free)
+        memoized = warm.decide_program(plan, steps, free_devices=free)
+        assert warm.memo_outcome() == "hit"
+        assert memoized is first
+        fresh = DevicePoolScheduler(pool).decide_program(
+            plan, steps, free_devices=free)
+        assert dataclasses.asdict(memoized) == dataclasses.asdict(fresh)
+
+    def test_concurrent_routes_get_the_decision_for_their_free_count(self):
+        """Threads route one plan through a partly leased pool: each gets
+        the model's decision for the free count its route read, and every
+        lease is returned."""
+
+        class RecordingLedger(OccupancyLedger):
+            def __init__(self, device_count):
+                super().__init__(device_count)
+                self.seen = threading.local()
+
+            @property
+            def free(self):
+                value = super().free
+                self.seen.value = value
+                return value
+
+        pool = MultiDeviceSpec(device_count=4, **LINKS[1])
+        plan = _kernel_plan("star", 2, 1, (96, 104), "dirichlet", "numpy",
+                            1, 4, 2)
+        reference = DevicePoolScheduler(pool)
+        expected = {free: reference.decide(plan, 4, free_devices=free)
+                    for free in range(5)}
+        assert expected[3].sharded and not expected[1].sharded
+        ledger = RecordingLedger(4)
+        scheduler = DevicePoolScheduler(pool, ledger=ledger)
+        registry = reset_global_registry()
+        held = ledger.acquire(1)
+
+        def worker():
+            wrong = []
+            for _ in range(25):
+                decision, lease = scheduler.route(plan, 4)
+                seen = ledger.seen.value
+                try:
+                    assert lease.device_count == decision.devices
+                    if (not decision.reason.startswith("pool contention")
+                            and decision != expected[seen]):
+                        wrong.append((seen, decision))
+                    time.sleep(0)
+                finally:
+                    ledger.release(lease)
+            return wrong
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as executor:
+                futures = [executor.submit(worker) for _ in range(8)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[]] * 8
+        ledger.release(held)
+        assert ledger.in_use == 0
+        assert registry.counter("scheduler.route_memo_hits").value > 0
+
+    def test_schedulers_never_share_decisions(self):
+        """Thresholds are per scheduler and the memo is too: a strict
+        scheduler never sees an eager one's sharded decision."""
+        pool = MultiDeviceSpec(device_count=4, **LINKS[1])
+        plan = _kernel_plan("star", 2, 1, (96, 104), "dirichlet", "numpy",
+                            1, 4, 2)
+        eager = DevicePoolScheduler(pool, min_speedup=1.0)
+        sharded = eager.decide(plan, 4, free_devices=4)
+        assert sharded.sharded
+        strict = DevicePoolScheduler(
+            pool, min_speedup=sharded.modelled_speedup + 1.0)
+        for _ in range(2):
+            assert not strict.decide(plan, 4, free_devices=4).sharded
+            assert eager.decide(plan, 4, free_devices=4) is sharded
+
+    def test_memo_counted_in_global_registry(self):
+        """Hits and misses are counted; infeasible shard candidates are
+        counted once per distinct decision, not again on a hit."""
+        registry = reset_global_registry()
+        # 8-wide tiles leave no room for 8 shards of this grid
+        plan = _kernel_plan("box", 3, 2, (10, 10, 10), "dirichlet", "numpy",
+                            1, 8, 2)
+        scheduler = DevicePoolScheduler(8)
+        scheduler.decide(plan, 2)
+        assert scheduler.memo_outcome() == "miss"
+        infeasible = registry.counter("scheduler.infeasible_partitions").value
+        assert infeasible > 0
+        scheduler.decide(plan, 2)
+        assert scheduler.memo_outcome() == "hit"
+        assert registry.counter("scheduler.route_memo_misses").value == 1
+        assert registry.counter("scheduler.route_memo_hits").value == 1
+        assert registry.counter(
+            "scheduler.infeasible_partitions").value == infeasible
+
+    def test_memo_cleared_when_full(self, heat2d_cls, monkeypatch):
+        import repro.server.scheduler as scheduler_module
+
+        monkeypatch.setattr(scheduler_module, "ROUTE_MEMO_LIMIT", 2)
+        plan = compile_stencil(heat2d_cls, (64, 64))
+        scheduler = DevicePoolScheduler(4)
+        decisions = [scheduler.decide(plan, 2, free_devices=free)
+                     for free in (0, 2, 4)]
+        # the third distinct key cleared the memo: only it is warm
+        assert scheduler.decide(plan, 2, free_devices=4) is decisions[2]
+        assert scheduler.memo_outcome() == "hit"
+        assert scheduler.decide(plan, 2, free_devices=0) == decisions[0]
+        assert scheduler.memo_outcome() == "miss"
 
 
 @pytest.fixture(scope="class")
