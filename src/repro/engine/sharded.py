@@ -31,6 +31,26 @@ Communication avoidance happens along two axes:
 
 The modelled wall time is the weak-scaling critical path: slowest shard per
 sweep plus whatever exchange time the overlap could not hide.
+
+Everything a run derives from (plan, cluster, policy) alone — the
+partition with its precomputed exchange ops, the round groups, one
+per-window phase table per stage, the per-shard halo seconds and the cell
+counts — is a :class:`ShardLayout`.  Layouts are built once per *layout
+key* and memoized on the executor's compile cache
+(:meth:`repro.service.CompileCache.shard_layout`), so per-window plans are
+compiled (or looked up) on a memo miss only and a warm sharded run moves
+only data.  The key is content, not identity: for a kernel, the
+fingerprint of the pinned full-grid :func:`window_request`, the plan's
+layout config, the cluster's device count, interconnect bandwidth and link
+latency, and the requested shard grid and halo depth; for a program (see
+:mod:`repro.programs.executor`), the program fingerprint, the stage names
+in execution order, the cluster device and link, the shard grid and
+``fuse``.  Without a cache nothing is memoized.  Hits and misses are
+counted as ``engine.shard_layout_hits`` / ``engine.shard_layout_misses`` in
+the global metrics registry and tagged ``memo="hit"|"miss"`` on the
+``shard_compile`` span, whose duration — also reported as
+``overhead_seconds["shard_compile"]`` — is the build on a miss and the
+lookup on a hit.
 """
 
 from __future__ import annotations
@@ -39,7 +59,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,13 +74,14 @@ from repro.engine.base import (
     summarize_launches,
     throughput_metrics,
 )
+from repro.obs.metrics import global_registry
 from repro.obs.trace import current_span
 from repro.stencils.boundary import apply_boundary
 from repro.stencils.grid import Grid
 from repro.stencils.partition import GridPartition
 from repro.tcu.counters import UtilizationReport, combine_utilization
 from repro.tcu.executor import LaunchResult
-from repro.tcu.spec import MultiDeviceSpec
+from repro.tcu.spec import GPUSpec, MultiDeviceSpec
 from repro.util.parallel import default_workers, parallel_map
 from repro.util.validation import require, require_positive_int
 
@@ -234,7 +255,8 @@ def build_shard_phases(compiled: CompiledStencil, spec: MultiDeviceSpec,
     across shards — compiles each distinct shape exactly once.  Shared by
     :class:`ShardedExecutor` and the program runner in
     :mod:`repro.programs.executor`, which builds one phase table per stage
-    over a common partition.
+    over a common partition.  Both call it only when building a
+    :class:`ShardLayout` — once per layout key, not once per run.
     """
     from repro.service.cache import CompileCache
 
@@ -300,6 +322,95 @@ def run_shard_phase(phase: _ShardPhase, local: np.ndarray,
     local[phase.writeback] = buffer[tuple(
         slice(radius, s - radius) for s in buffer.shape)]
     return result
+
+
+@dataclass(frozen=True)
+class ShardLayout:
+    """Everything a sharded run derives from (plan, cluster, policy) alone.
+
+    Built by :func:`build_layout` on a memo miss and shared read-only by
+    every later run with the same layout key, including concurrent ones.
+    The partition keeps its precomputed exchange ops from run to run.
+    """
+
+    partition: GridPartition
+    #: stage names per round of a program step; ``()`` for a kernel, whose
+    #: rounds are up to ``halo_depth`` sweeps of its one stage
+    groups: Tuple[Tuple[str, ...], ...]
+    #: per-stage ``[shard][window mult]`` phase tables; a kernel's one
+    #: stage is keyed ``""``
+    phases: Dict[str, List[List[_ShardPhase]]]
+    shard_halo_seconds: Tuple[float, ...]   #: modelled receive time per shard
+    halo_seconds_per_exchange: float        #: the slowest shard's
+    interior_cells: Tuple[int, ...]         #: see :func:`_interior_cells`
+    owned_cells: Tuple[int, ...]
+
+
+def build_layout(partition: GridPartition,
+                 phases: Dict[str, List[List[_ShardPhase]]],
+                 spec: MultiDeviceSpec, itemsize: int,
+                 groups: Tuple[Tuple[str, ...], ...] = ()) -> ShardLayout:
+    """Derive the halo and cell counts of ``partition`` and bundle them with
+    the phase tables into one :class:`ShardLayout`."""
+    shard_halo_seconds = tuple(
+        spec.exchange_seconds(elements * itemsize, messages)
+        for elements, messages in zip(partition.received_elements_per_shard(),
+                                      partition.messages_per_shard())
+    ) if partition.n_shards > 1 else (0.0,)
+    return ShardLayout(
+        partition=partition,
+        groups=groups,
+        phases=phases,
+        shard_halo_seconds=shard_halo_seconds,
+        halo_seconds_per_exchange=max(shard_halo_seconds),
+        interior_cells=tuple(_interior_cells(partition, shard)
+                             for shard in partition.shards),
+        owned_cells=tuple(math.prod(shard.out_shape)
+                          for shard in partition.shards),
+    )
+
+
+def device_key(device: GPUSpec) -> Tuple[Any, ...]:
+    """Hashable content of a device spec (its dict field as sorted items),
+    for layout keys — far cheaper than the fingerprint's canonical form."""
+    return tuple(tuple(sorted(value.items())) if isinstance(value, dict)
+                 else value for value in vars(device).values())
+
+
+_LAYOUT_COUNTERS = {
+    "hit": ("engine.shard_layout_hits",
+            "sharded runs whose layout came from the cache's layout memo"),
+    "miss": ("engine.shard_layout_misses",
+             "sharded runs that had to build their layout"),
+}
+
+
+def fetch_layout(cache, key: Tuple[Any, ...],
+                 build: Callable[[], ShardLayout],
+                 **span_attrs: Any) -> Tuple[ShardLayout, float]:
+    """The layout for ``key`` from ``cache``'s layout memo (``build()`` on a
+    miss; every time when ``cache`` is ``None``), plus the host seconds the
+    lookup or build took.
+
+    Counts the outcome in the global metrics registry and records the
+    ``shard_compile`` span, tagged ``memo="hit"|"miss"``, under the ambient
+    span.
+    """
+    start = time.perf_counter()
+    if cache is None:
+        layout, hit = build(), False
+    else:
+        layout, hit = cache.shard_layout(key, build)
+    end = time.perf_counter()
+    memo = "hit" if hit else "miss"
+    global_registry().counter(*_LAYOUT_COUNTERS[memo]).inc()
+    trace = current_span()
+    if trace is not None:
+        trace.tracer.record("shard_compile", start, end, parent=trace,
+                            memo=memo, shards=layout.partition.n_shards,
+                            halo_depth=layout.partition.halo_depth,
+                            **span_attrs)
+    return layout, end - start
 
 
 @dataclass(frozen=True)
@@ -504,9 +615,10 @@ class ShardedExecutor:
         (the surface-minimising heuristic — 4 devices on a square grid
         become a 2x2 shard grid).
     cache:
-        Optional :class:`repro.service.CompileCache` for the per-shard plans.
-        A private cache is created when omitted, so equal-shaped shards still
-        compile once per run.
+        Optional :class:`repro.service.CompileCache` for the per-shard plans
+        and the memoized :class:`ShardLayout`, so a warm run builds
+        nothing.  Without one, a private cache is created per run (so
+        equal-shaped shards still compile once) and nothing is memoized.
     max_workers:
         Thread-pool width for concurrent shard sweeps.
     halo_depth:
@@ -581,20 +693,33 @@ class ShardedExecutor:
                 f"{self._device_count} available devices")
         return partition
 
-    def _shard_phases(self, compiled: CompiledStencil, spec: MultiDeviceSpec,
-                      partition: GridPartition) -> List[List[_ShardPhase]]:
-        return build_shard_phases(compiled, spec, partition,
-                                  cache=self.cache,
-                                  max_workers=self.max_workers)
+    def _layout_key(self, compiled: CompiledStencil,
+                    spec: MultiDeviceSpec) -> Tuple[Any, ...]:
+        """Every input :meth:`_build_layout` reads.  The pinned full-grid
+        request's fingerprint covers the grid shape, pattern, temporal
+        fusion, ``r1``/``r2``, boundary, backend, dtype and device; the
+        layout config rides along because only an ``(r1, r2)``-expressible
+        config may shard."""
+        return ("kernel",
+                window_request(compiled, spec.device,
+                               compiled.grid_shape).fingerprint,
+                compiled.plan.config, spec.device_count,
+                spec.interconnect_bandwidth_gbs, spec.link_latency_seconds,
+                self.shard_grid, self.halo_depth)
+
+    def _build_layout(self, compiled: CompiledStencil,
+                      spec: MultiDeviceSpec) -> ShardLayout:
+        """Partition the grid and compile every window plan (a memo miss)."""
+        partition = self.partition(compiled)
+        phases = build_shard_phases(compiled, spec, partition,
+                                    cache=self.cache,
+                                    max_workers=self.max_workers)
+        return build_layout(partition, {"": phases}, spec,
+                            compiled.plan.dtype.itemsize)
 
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _run_phase(phase: _ShardPhase, local: np.ndarray,
-                   radius: int) -> LaunchResult:
-        return run_shard_phase(phase, local, radius)
-
     def execute(self, compiled: CompiledStencil, grid: Grid,
                 iterations: int) -> ShardedRunResult:
         require_positive_int(iterations, "iterations")
@@ -614,7 +739,11 @@ class ShardedExecutor:
                 f"single-device executor")
 
         spec = self.resolve_spec(compiled)
-        partition = self.partition(compiled)
+        layout, shard_compile_seconds = fetch_layout(
+            self.cache, self._layout_key(compiled, spec),
+            lambda: self._build_layout(compiled, spec))
+        partition = layout.partition
+        phases = layout.phases[""]
         depth = partition.halo_depth
         radius = partition.radius
         # One ambient-context check up front: round/exchange/sweep spans are
@@ -622,26 +751,12 @@ class ShardedExecutor:
         # context — the shard pool threads never need it.
         trace = current_span()
         tracer = trace.tracer if trace is not None else None
-        compile_start = time.perf_counter()
-        phases = self._shard_phases(compiled, spec, partition)
-        shard_compile_seconds = time.perf_counter() - compile_start
-        if tracer is not None:
-            tracer.record("shard_compile", compile_start,
-                          compile_start + shard_compile_seconds, parent=trace,
-                          shards=partition.n_shards, halo_depth=depth)
 
         itemsize = compiled.plan.dtype.itemsize
-        recv_messages = partition.messages_per_shard()
-        recv_elements = partition.received_elements_per_shard()
-        shard_halo_seconds = [
-            spec.exchange_seconds(elements * itemsize, messages)
-            for elements, messages in zip(recv_elements, recv_messages)
-        ] if partition.n_shards > 1 else [0.0]
-        halo_seconds_per_exchange = max(shard_halo_seconds)
-        interior_cells = [_interior_cells(partition, shard)
-                          for shard in partition.shards]
-        owned_cells = [math.prod(shard.out_shape)
-                       for shard in partition.shards]
+        shard_halo_seconds = layout.shard_halo_seconds
+        halo_seconds_per_exchange = layout.halo_seconds_per_exchange
+        interior_cells = layout.interior_cells
+        owned_cells = layout.owned_cells
 
         # the initial halo ring is derived state under periodic/reflect —
         # fill it exactly like the single-device executor before extracting
@@ -670,9 +785,9 @@ class ShardedExecutor:
             row = [shard_phases[mult] for shard_phases in phases]
             if pool is not None:
                 return list(pool.map(
-                    lambda pair: self._run_phase(pair[0], pair[1], radius),
+                    lambda pair: run_shard_phase(pair[0], pair[1], radius),
                     zip(row, locals_)))
-            return [self._run_phase(phase, local, radius)
+            return [run_shard_phase(phase, local, radius)
                     for phase, local in zip(row, locals_)]
 
         try:

@@ -22,7 +22,13 @@ Two runners share the execution contract of
   Unfused execution (``fuse=False``) keeps the shard-locals resident across
   the entire run and exchanges once per stage — still only
   ``rounds - 1`` exchanges total, because the first round reads the initial
-  extraction and nothing reads halos after the final sweep.
+  extraction and nothing reads halos after the final sweep.  The partition,
+  round groups and per-stage phase tables form one
+  :class:`~repro.engine.sharded.ShardLayout`, built once per layout key —
+  the program fingerprint, the stage names in execution order (the
+  fingerprint ignores names, the phase tables and fusion groups do not),
+  the cluster device and link, the shard grid and ``fuse`` — and memoized on
+  the runner's compile cache, so a warm run compiles and looks up nothing.
 
 :func:`model_program` prices both paths with the same arithmetic as
 :func:`repro.engine.sharded.model_schedule` (linear window-cell scaling of
@@ -37,7 +43,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,8 +52,12 @@ from repro.core.pipeline import StencilRunResult
 from repro.engine.base import prepare_sweep, run_sweep, summarize_launches
 from repro.engine.sharded import (
     ShardedRunResult,
+    ShardLayout,
     _interior_cells,
+    build_layout,
     build_shard_phases,
+    device_key,
+    fetch_layout,
     run_shard_phase,
 )
 from repro.obs.trace import current_span
@@ -261,7 +271,8 @@ class ShardedProgramRunner:
 
     Parameters mirror :class:`repro.engine.ShardedExecutor` (``spec`` may be
     a :class:`~repro.tcu.spec.MultiDeviceSpec` or a device count;
-    ``shard_grid``, ``cache``, ``max_workers``, ``overlap`` as there);
+    ``shard_grid``, ``cache`` — which also memoizes the run's layout —
+    ``max_workers``, ``overlap`` as there);
     ``fuse`` toggles cross-stage fusion — fused groups exchange once per
     group, unfused execution exchanges once per stage.  Only uniform-radius
     chain programs shard; anything else must run on :class:`ProgramRunner`.
@@ -296,6 +307,22 @@ class ShardedProgramRunner:
 
     def partition(self, plan: ProgramPlan
                   ) -> Tuple[GridPartition, Tuple[Tuple[str, ...], ...]]:
+        """The common partition and the round groups.
+
+        With a cache they are read from the memoized layout — free after a
+        run, and a miss builds (and memoizes) the whole layout; without
+        one they are computed afresh.
+        """
+        if self.cache is None:
+            return self._partition(plan)
+        spec = self.resolve_spec(plan)
+        layout, _ = self.cache.shard_layout(
+            self._layout_key(plan, spec),
+            lambda: self._build_layout(plan, spec))
+        return layout.partition, layout.groups
+
+    def _partition(self, plan: ProgramPlan
+                   ) -> Tuple[GridPartition, Tuple[Tuple[str, ...], ...]]:
         shard_grid = self.shard_grid if self.shard_grid is not None \
             else self._device_count
         partition, groups = _program_partition(plan, shard_grid, self.fuse)
@@ -304,49 +331,59 @@ class ShardedProgramRunner:
                 f"{self._device_count} available devices")
         return partition, groups
 
-    def execute(self, plan: ProgramPlan, grid: Grid,
-                steps: int) -> ShardedRunResult:
-        _check_run(plan, grid, steps)
-        spec = self.resolve_spec(plan)
-        partition, groups = self.partition(plan)
-        depth = partition.halo_depth
-        radius = partition.radius
+    def _layout_key(self, plan: ProgramPlan,
+                    spec: MultiDeviceSpec) -> Tuple[Any, ...]:
+        """Every input :meth:`_build_layout` reads.  The fingerprint pins
+        the stages, wiring, grid, boundary, dtype and compile device; the
+        stage names key the phase tables and fusion groups, and the cluster
+        device prices every window plan."""
+        return ("program", plan.fingerprint,
+                tuple(cstage.name for cstage in plan.stages),
+                device_key(spec.device), spec.device_count,
+                spec.interconnect_bandwidth_gbs, spec.link_latency_seconds,
+                self.shard_grid, self.fuse)
 
-        trace = current_span()
-        tracer = trace.tracer if trace is not None else None
-
+    def _build_layout(self, plan: ProgramPlan,
+                      spec: MultiDeviceSpec) -> ShardLayout:
+        """Partition, group and compile every stage's window plans (a memo
+        miss)."""
         from repro.service.cache import CompileCache
 
+        partition, groups = self._partition(plan)
         cache = self.cache
         if cache is None:
             cache = CompileCache(capacity=max(
-                8, partition.n_shards * depth * plan.stage_count))
-        compile_start = time.perf_counter()
+                8, partition.n_shards * partition.halo_depth
+                * plan.stage_count))
         phases = {
             cstage.name: build_shard_phases(cstage.compiled[0], spec,
                                             partition, cache=cache,
                                             max_workers=self.max_workers)
             for cstage in plan.stages
         }
-        shard_compile_seconds = time.perf_counter() - compile_start
-        if tracer is not None:
-            tracer.record("shard_compile", compile_start,
-                          compile_start + shard_compile_seconds, parent=trace,
-                          shards=partition.n_shards, halo_depth=depth,
-                          stages=plan.stage_count)
+        return build_layout(partition, phases, spec, plan.dtype.itemsize,
+                            groups)
+
+    def execute(self, plan: ProgramPlan, grid: Grid,
+                steps: int) -> ShardedRunResult:
+        _check_run(plan, grid, steps)
+        spec = self.resolve_spec(plan)
+        layout, shard_compile_seconds = fetch_layout(
+            self.cache, self._layout_key(plan, spec),
+            lambda: self._build_layout(plan, spec), stages=plan.stage_count)
+        partition, groups, phases = \
+            layout.partition, layout.groups, layout.phases
+        depth = partition.halo_depth
+        radius = partition.radius
+
+        trace = current_span()
+        tracer = trace.tracer if trace is not None else None
 
         itemsize = plan.dtype.itemsize
-        recv_messages = partition.messages_per_shard()
-        recv_elements = partition.received_elements_per_shard()
-        shard_halo_seconds = [
-            spec.exchange_seconds(elements * itemsize, messages)
-            for elements, messages in zip(recv_elements, recv_messages)
-        ] if partition.n_shards > 1 else [0.0]
-        halo_seconds_per_exchange = max(shard_halo_seconds)
-        interior_cells = [_interior_cells(partition, shard)
-                          for shard in partition.shards]
-        owned_cells = [math.prod(shard.out_shape)
-                       for shard in partition.shards]
+        shard_halo_seconds = layout.shard_halo_seconds
+        halo_seconds_per_exchange = layout.halo_seconds_per_exchange
+        interior_cells = layout.interior_cells
+        owned_cells = layout.owned_cells
 
         # fill the initial ring exactly like the single-device program
         # runner's first tap fill, then extract the resident shard slabs —

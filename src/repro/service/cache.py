@@ -6,6 +6,10 @@ canonical compile fingerprint (:mod:`repro.service.fingerprint`), bounded by
 an LRU policy, and optionally persisted to disk so a fresh process starts
 warm.  All operations are thread-safe — the batched solve service compiles
 distinct plans from a thread pool against a shared cache.
+
+Beside the plan LRU the cache keeps a second, in-memory table: the sharded
+executors' layouts (:meth:`CompileCache.shard_layout`), so a warm sharded
+run looks up one layout instead of one plan per shard window.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from repro.core.pipeline import CompiledStencil
 from repro.obs.metrics import global_registry
@@ -37,6 +41,13 @@ __all__ = ["CacheStats", "CacheEntry", "CompileCache", "rebrand"]
 #: family (compile fingerprint payload v4): plans persisted under the old
 #: vocabulary are treated as misses rather than trusted across the change.
 _PERSIST_PAYLOAD_VERSION = 3
+
+
+#: Sharded layouts one cache memoizes (:meth:`CompileCache.shard_layout`)
+#: before the table is cleared and starts over.  A layout holds a partition
+#: and per-window sweep contexts over plans the LRU also holds; a workload
+#: cycling through more distinct layouts than this rebuilds them.
+SHARD_LAYOUT_LIMIT = 64
 
 
 _PIPELINE_VERSION: Optional[str] = None
@@ -191,6 +202,9 @@ class CompileCache:
         #: Per-fingerprint locks so concurrent misses on the *same* plan
         #: compile once while distinct plans compile in parallel.
         self._compile_locks: Dict[str, threading.Lock] = {}
+        #: Sharded-run layouts by content key — a table apart from the plan
+        #: LRU, bounded by :data:`SHARD_LAYOUT_LIMIT`.
+        self._layouts: Dict[Hashable, Any] = {}
         # Re-register into the process-wide metrics registry (weakref'd: a
         # garbage-collected cache drops out of the unified snapshot).
         self.metrics_section = global_registry().register_provider(
@@ -251,6 +265,26 @@ class CompileCache:
                 span.set(outcome="compile", compile_ms=elapsed * 1e3)
                 return compiled
 
+    def shard_layout(self, key: Hashable,
+                     build: Callable[[], Any]) -> Tuple[Any, bool]:
+        """``(layout, hit)``: the sharded layout memoized under ``key``,
+        built with ``build()`` and stored on a miss.
+
+        ``key`` must name every input the layout is derived from (see
+        :mod:`repro.engine.sharded`).  The lock guards only the table's get
+        and put, never a build: two threads missing on one key both build,
+        and both return the layout stored first.
+        """
+        with self._lock:
+            layout = self._layouts.get(key)
+        if layout is not None:
+            return layout, True
+        layout = build()
+        with self._lock:
+            if len(self._layouts) >= SHARD_LAYOUT_LIMIT:
+                self._layouts.clear()
+            return self._layouts.setdefault(key, layout), False
+
     def compile(self, pattern: StencilPattern, grid_shape: Tuple[int, ...],
                 **compile_kwargs) -> CompiledStencil:
         """Drop-in cached equivalent of :func:`repro.compile_stencil`."""
@@ -271,11 +305,14 @@ class CompileCache:
         """Zero-arg provider the unified metrics registry calls."""
         stats = self.snapshot_stats().as_dict()
         stats["resident_plans"] = len(self)
+        with self._lock:
+            stats["resident_layouts"] = len(self._layouts)
         stats["capacity"] = self.capacity
         return stats
 
     def clear(self, remove_persisted: bool = False) -> None:
-        """Drop all in-memory entries and reset the statistics.
+        """Drop all in-memory entries and memoized sharded layouts, and reset
+        the statistics.
 
         Persisted plans are kept by default (a later lookup resurrects them
         as disk hits); pass ``remove_persisted=True`` to delete them too.
@@ -290,6 +327,7 @@ class CompileCache:
         """
         with self._lock:
             self._entries.clear()
+            self._layouts.clear()
             self.stats = CacheStats()
         if remove_persisted and self.persist_dir is not None:
             for path in self.persist_dir.glob("*.plan.pkl"):

@@ -278,7 +278,8 @@ class ProgramSessionExecutor(SessionExecutor):
     kernels).  ``served`` and ``baseline:*`` modes do not apply to programs
     and are rejected.  The provenance records the program fingerprint's
     constituents: every stage tap's compile fingerprint plus the fusion
-    groups the run executed.
+    groups the run executed (read back from the sharded layout the run
+    memoized, so recording them costs a lookup).
     """
 
     name = "program"
@@ -326,6 +327,7 @@ class ProgramSessionExecutor(SessionExecutor):
                 max_workers=max_workers, overlap=policy.overlap)
             result = runner.execute(plan, problem.grid, problem.iterations)
             devices_used = result.device_count
+            # with a cache the run memoized its layout: this is a lookup
             fusion_groups = runner.partition(plan)[1]
             reason = reason or "explicit sharded program route"
         else:

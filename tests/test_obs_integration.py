@@ -21,6 +21,7 @@ from repro import (
     make_grid,
 )
 from repro.analysis import build_span_tree, render_span_tree, validate_spans
+from repro.obs.metrics import reset_global_registry
 
 
 @pytest.fixture
@@ -137,6 +138,29 @@ class TestServedShardedTrace:
         assert result.trace_id != ""
         spans = tracer.spans(result.trace_id)
         assert {"request", "queue_wait"} <= {s.name for s in spans}
+
+
+class TestShardLayoutMemoTrace:
+    def test_fresh_session_misses_then_second_solve_hits(self, tracer):
+        """The ``shard_compile`` span and the engine counters tell a layout
+        build from a memo lookup."""
+        registry = reset_global_registry()
+        session = StencilSession(SessionConfig(devices=4, tracer=tracer))
+        problem = Problem(heat2d_pattern(),
+                          make_grid((96, 96), kind="random", seed=5),
+                          iterations=4)
+        memos = []
+        for _ in range(2):
+            solution = session.solve(problem, SolvePolicy(mode="sharded"))
+            spans = tracer.spans(solution.provenance.trace_id)
+            assert validate_spans(spans) == []
+            compile_span = next(s for s in spans if s.name == "shard_compile")
+            assert compile_span.attrs["shards"] == 4
+            memos.append(compile_span.attrs["memo"])
+            assert "shard_compile" in solution.result.overhead_seconds
+        assert memos == ["miss", "hit"]
+        assert registry.counter("engine.shard_layout_misses").value == 1
+        assert registry.counter("engine.shard_layout_hits").value == 1
 
 
 class TestDisabledTracingPath:

@@ -5,11 +5,18 @@ dead stages), the program fingerprint (wiring-sensitive, name-insensitive),
 the fused-vs-unfused golden equivalence matrix across execution paths and
 boundary conditions, per-stage cache attribution, the cost model's exchange
 accounting, and the session-layer routing (``Problem(program=...)``,
-provenance, scheduler gates).
+provenance, scheduler gates), and the sharded layout memo (a warm run
+equals a fresh one, stage names included).
 """
+
+import dataclasses
+import itertools
+from contextlib import suppress
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from repro import (
     STATE,
@@ -26,9 +33,12 @@ from repro import (
     run_program_reference,
 )
 from repro.engine.single import SingleDeviceExecutor
+from repro.obs.metrics import global_registry
 from repro.programs import plan_fusion, stage_cache_attribution
 from repro.service.cache import CompileCache
+from repro.stencils.boundary import neumann
 from repro.stencils.grid import make_grid
+from repro.tcu.spec import GPUSpec, MultiDeviceSpec
 from repro.util.validation import ValidationError
 
 FP16_TOL = 5e-3
@@ -462,3 +472,164 @@ class TestSessionPrograms:
         # a 64x64 grid is latency-bound: the scheduler must keep it local
         assert decision.executor == "single"
         assert decision.reason
+
+
+# --------------------------------------------------------------------- #
+# sharded layout memo
+# --------------------------------------------------------------------- #
+
+LAYOUT_SETTINGS = dict(max_examples=12, deadline=None)
+LAYOUT_BOUNDARIES = ["dirichlet", "periodic", "reflect", neumann(0.5)]
+#: Two device models differing on both roofline sides, so a memory-bound
+#: window plan is priced differently too.
+LAYOUT_DEVICES = [GPUSpec(),
+                  GPUSpec(clock_ghz=1.0, global_bandwidth_gbs=900.0)]
+LAYOUT_LINKS = [(600.0, 2e-6), (1e4, 1e-9)]
+LAYOUT_EXTENTS = {1: (40, 300), 2: (24, 72), 3: (10, 18)}
+
+
+def layout_facts(result):
+    """Every :class:`ShardedRunResult` field but the host-time
+    ``overhead_seconds``, with the output as raw bytes."""
+    return {field.name: (result.output.tobytes() if field.name == "output"
+                         else getattr(result, field.name))
+            for field in dataclasses.fields(result)
+            if field.name != "overhead_seconds"}
+
+
+@lru_cache(maxsize=None)
+def _layout_program_plan(names, ndim, kinds, shape, boundary, backend):
+    program = StencilProgram.chain(
+        "-".join(names), [(name, getattr(StencilPattern, kind)(ndim, 1))
+                          for name, kind in zip(names, kinds)])
+    grid = make_grid(shape, kind="random", seed=4, boundary=boundary)
+    plan = compile_program(program, grid, options=dict(
+        backend=backend, search=False, r1=2, r2=2))
+    return plan, grid
+
+
+@st.composite
+def program_layout_cases(draw):
+    ndim = draw(st.integers(1, 3))
+    low, high = LAYOUT_EXTENTS[ndim]
+    kinds = tuple(draw(st.lists(st.sampled_from(["star", "box"]),
+                                min_size=1, max_size=3)))
+    plan = dict(names=tuple(f"s{index}" for index in range(len(kinds))),
+                ndim=ndim, kinds=kinds,
+                shape=tuple(draw(st.integers(low, high))
+                            for _ in range(ndim)),
+                boundary=draw(st.sampled_from(LAYOUT_BOUNDARIES)),
+                backend=draw(st.sampled_from(["tcu-sim", "numpy"])))
+    devices = draw(st.sampled_from([2, 4, 8]))
+    grids = [grid for grid in itertools.product([1, 2, 4, 8], repeat=ndim)
+             if 2 <= int(np.prod(grid)) <= devices]
+    cluster = dict(devices=devices, device=draw(st.integers(0, 1)),
+                   link=LAYOUT_LINKS[draw(st.integers(0, 1))])
+    runner = dict(shard_grid=draw(st.one_of(st.none(),
+                                            st.sampled_from(grids))),
+                  fuse=draw(st.booleans()))
+    return plan, cluster, runner, draw(st.integers(1, 3)), grids
+
+
+def _program_layout_variants(plan, cluster, runner, grids):
+    """Inputs that each differ from the case in exactly one input of the
+    program layout key: a fingerprint, the stage names (same fingerprint),
+    each cluster field, the shard grid and ``fuse``."""
+    bandwidth, latency = cluster["link"]
+    other = LAYOUT_LINKS[1 - LAYOUT_LINKS.index(cluster["link"])]
+    choices = [None] + grids
+    edits = [
+        ("plan", "shape", plan["shape"][:-1] + (plan["shape"][-1] + 8,)),
+        ("plan", "names", tuple(f"t{index}"
+                                for index in range(len(plan["names"])))),
+        ("cluster", "devices", 8 if cluster["devices"] != 8 else 4),
+        ("cluster", "device", 1 - cluster["device"]),
+        ("cluster", "link", (other[0], latency)),
+        ("cluster", "link", (bandwidth, other[1])),
+        ("runner", "shard_grid", choices[(choices.index(runner["shard_grid"])
+                                          + 1) % len(choices)]),
+        ("runner", "fuse", not runner["fuse"]),
+    ]
+    for part, field, value in edits:
+        case = {"plan": dict(plan), "cluster": dict(cluster),
+                "runner": dict(runner)}
+        case[part][field] = value
+        yield case
+
+
+def _run_program_layout(plan, cluster, runner, steps, cache):
+    compiled, grid = _layout_program_plan(**plan)
+    bandwidth, latency = cluster["link"]
+    spec = MultiDeviceSpec(device=LAYOUT_DEVICES[cluster["device"]],
+                           device_count=cluster["devices"],
+                           interconnect_bandwidth_gbs=bandwidth,
+                           link_latency_seconds=latency)
+    sharded = ShardedProgramRunner(spec, cache=cache, **runner)
+    result = sharded.execute(compiled, grid, steps)
+    return result, sharded.partition(compiled)[1]
+
+
+class TestProgramLayoutMemo:
+    @settings(**LAYOUT_SETTINGS)
+    @given(case=program_layout_cases())
+    def test_warm_run_equals_fresh(self, case):
+        plan, cluster, runner, steps, grids = case
+        warm = CompileCache()
+        for variant in _program_layout_variants(plan, cluster, runner, grids):
+            with suppress(ValidationError):
+                _run_program_layout(variant["plan"], variant["cluster"],
+                                    variant["runner"], 1, warm)
+        try:
+            fresh, fresh_groups = _run_program_layout(
+                plan, cluster, runner, steps, CompileCache())
+        except ValidationError:
+            event("partition rejected")
+            with pytest.raises(ValidationError):
+                _run_program_layout(plan, cluster, runner, steps, warm)
+            return
+        event("compared")
+        _run_program_layout(plan, cluster, runner, steps, warm)
+        hits = global_registry().counter("engine.shard_layout_hits").value
+        memoized, groups = _run_program_layout(plan, cluster, runner, steps,
+                                               warm)
+        assert global_registry().counter(
+            "engine.shard_layout_hits").value == hits + 1
+        assert groups == fresh_groups
+        assert {name for group in groups for name in group} \
+            == set(plan["names"])
+        assert layout_facts(memoized) == layout_facts(fresh)
+
+    def test_stage_names_key_the_layout(self):
+        """Two programs equal but for their program and stage names share a
+        fingerprint, never a layout: each solve reports its own stages."""
+        grid = make_grid(SHAPE, kind="random", seed=6, boundary="periodic")
+        programs = [StencilProgram.chain("first", [("a", HEAT), ("b", BLUR)]),
+                    StencilProgram.chain("second",
+                                         [("x", HEAT), ("y", BLUR)])]
+        with StencilSession(devices=4) as session:
+            solutions = [session.solve(Problem(program=program, grid=grid,
+                                               iterations=STEPS),
+                                       mode="sharded")
+                         for program in programs]
+        assert solutions[0].fingerprint == solutions[1].fingerprint
+        assert [s.provenance.fusion_groups for s in solutions] \
+            == [(("a", "b"),), (("x", "y"),)]
+        for program, solution in zip(programs, solutions):
+            with StencilSession(devices=4) as fresh_session:
+                fresh = fresh_session.solve(
+                    Problem(program=program, grid=grid, iterations=STEPS),
+                    mode="sharded")
+            assert solution.provenance.fusion_groups \
+                == fresh.provenance.fusion_groups
+            assert layout_facts(solution.result) == layout_facts(fresh.result)
+
+    def test_partition_reads_the_memo(self):
+        grid = make_grid(SHAPE, kind="random", seed=6)
+        plan = compile_program(two_stage_chain(), grid)
+        cache = CompileCache()
+        runner = ShardedProgramRunner(4, cache=cache)
+        runner.execute(plan, grid, STEPS)
+        lookups = cache.snapshot_stats().lookups
+        partition, groups = runner.partition(plan)
+        assert cache.snapshot_stats().lookups == lookups
+        assert (partition, groups) == ShardedProgramRunner(4).partition(plan)

@@ -1,23 +1,35 @@
 """Sharded-execution tests: bit-identical equivalence against the golden
 fixtures (including deep halos), shard-plan fingerprint sharing, the halo
-accounting, and the scaling / deep-halo tradeoff analysis."""
+accounting, the scaling / deep-halo tradeoff analysis, and the layout memo
+(a warm run equals a fresh one)."""
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from golden.generate_golden import CASES as GOLDEN_CASES, fixture_path
+from hypothesis import event, given, settings, strategies as st
 
-from repro import compile_stencil, get_benchmark, make_grid, run_stencil
+from repro import (Problem, SessionConfig, StencilSession, compile_stencil,
+                   get_benchmark, make_grid, run_stencil)
 from repro.analysis import (deep_halo_tradeoff, per_shard_utilization,
                             sharded_scaling)
 from repro.engine import ShardedExecutor, SweepExecutor
 from repro.engine.sharded import model_round, model_schedule
 from repro.service import CompileCache, solve_sharded
+from repro.obs.metrics import global_registry
+from repro.service.cache import SHARD_LAYOUT_LIMIT
+from repro.stencils.boundary import neumann
 from repro.stencils.pattern import StencilPattern
-from repro.tcu.spec import MultiDeviceSpec, multi_a100
+from repro.tcu.spec import DataType, GPUSpec, MultiDeviceSpec, multi_a100
 from repro.util.validation import ValidationError
 
 #: The canonical golden case list, owned by tests/golden/generate_golden.py
@@ -400,3 +412,295 @@ class TestScalingAnalysis:
         rows = per_shard_utilization(result)
         assert len(rows) == 4
         assert {"shard", "elapsed_seconds", "SM Utilization"} <= set(rows[0])
+
+
+# --------------------------------------------------------------------- #
+# layout memo
+# --------------------------------------------------------------------- #
+
+LAYOUT_SETTINGS = dict(max_examples=15, deadline=None)
+
+#: Every boundary kind, Neumann with a non-zero flux included.
+LAYOUT_BOUNDARIES = ["dirichlet", "periodic", "reflect", neumann(0.5)]
+
+#: Two device models differing on both roofline sides, so a memory-bound
+#: window plan is priced differently too.
+LAYOUT_DEVICES = [GPUSpec(),
+                  GPUSpec(clock_ghz=1.0, global_bandwidth_gbs=900.0)]
+LAYOUT_LINKS = [(600.0, 2e-6), (1e4, 1e-9)]
+
+#: Per-axis extent range of the generated (ragged) grids, by ndim.
+LAYOUT_EXTENTS = {1: (40, 300), 2: (24, 72), 3: (10, 18)}
+
+#: Pinned ``(r1, r2)`` layouts: cheap to compile at every ndim.
+LAYOUT_R = [(1, 1), (2, 2), (2, 1)]
+
+
+def layout_facts(result):
+    """Every :class:`ShardedRunResult` field but the host-time
+    ``overhead_seconds``, with the output as raw bytes."""
+    return {field.name: (result.output.tobytes() if field.name == "output"
+                         else getattr(result, field.name))
+            for field in dataclasses.fields(result)
+            if field.name != "overhead_seconds"}
+
+
+def shard_layout_hits():
+    return global_registry().counter("engine.shard_layout_hits").value
+
+
+@lru_cache(maxsize=None)
+def _layout_plan(kind, ndim, weight, shape, boundary, backend, fusion, r,
+                 dtype):
+    pattern = getattr(StencilPattern, kind)(ndim, 1)
+    weights = [weight * w for w in pattern.weights]
+    pattern = getattr(StencilPattern, kind)(ndim, 1, weights=weights)
+    return compile_stencil(pattern, shape, temporal_fusion=fusion,
+                           boundary=boundary, backend=backend, dtype=dtype,
+                           search=False, r1=r[0], r2=r[1])
+
+
+def _cluster(devices, device, link):
+    bandwidth, latency = LAYOUT_LINKS[link]
+    return MultiDeviceSpec(device=LAYOUT_DEVICES[device],
+                           device_count=devices,
+                           interconnect_bandwidth_gbs=bandwidth,
+                           link_latency_seconds=latency)
+
+
+def _shard_grids(ndim, devices):
+    """Explicit shard grids with 2..``devices`` shards."""
+    return [grid for grid in itertools.product([1, 2, 4, 8], repeat=ndim)
+            if 2 <= int(np.prod(grid)) <= devices]
+
+
+@st.composite
+def kernel_layout_cases(draw):
+    ndim = draw(st.integers(1, 3))
+    low, high = LAYOUT_EXTENTS[ndim]
+    plan = dict(kind=draw(st.sampled_from(["star", "box"])), ndim=ndim,
+                weight=1.0,
+                shape=tuple(draw(st.integers(low, high))
+                            for _ in range(ndim)),
+                boundary=draw(st.sampled_from(LAYOUT_BOUNDARIES)),
+                backend=draw(st.sampled_from(["tcu-sim", "numpy"])),
+                # a fused 3-D pattern is radius 2: too slow to compile here
+                fusion=draw(st.sampled_from([1, 2] if ndim < 3 else [1])),
+                r=draw(st.sampled_from(LAYOUT_R)),
+                dtype=DataType.FP16)
+    devices = draw(st.sampled_from([2, 4, 8]))
+    cluster = dict(devices=devices, device=draw(st.integers(0, 1)),
+                   link=draw(st.integers(0, 1)))
+    policy = dict(shard_grid=draw(st.one_of(
+                      st.none(), st.sampled_from(_shard_grids(ndim, devices)))),
+                  halo_depth=draw(st.integers(1, 3)))
+    return plan, cluster, policy, draw(st.sampled_from([2, 4, 6]))
+
+
+def _kernel_layout_variants(plan, cluster, policy):
+    """``(plan, cluster, policy)`` inputs that each differ from the case in
+    exactly one input of the kernel layout key, so a key missing any of
+    them makes one variant collide with the case."""
+    ndim = plan["ndim"]
+    grids = [None] + _shard_grids(ndim, cluster["devices"])
+    edits = [
+        ("plan", "shape", plan["shape"][:-1] + (plan["shape"][-1] + 8,)),
+        ("plan", "weight", 0.5),
+        ("plan", "fusion", 3 - plan["fusion"] if ndim < 3 else 1),
+        ("plan", "r", LAYOUT_R[(LAYOUT_R.index(plan["r"]) + 1) % 3]),
+        ("plan", "boundary", LAYOUT_BOUNDARIES[
+            (LAYOUT_BOUNDARIES.index(plan["boundary"]) + 1) % 4]),
+        ("plan", "backend",
+         "numpy" if plan["backend"] == "tcu-sim" else "tcu-sim"),
+        ("plan", "dtype", DataType.BF16),
+        ("cluster", "devices", 8 if cluster["devices"] != 8 else 4),
+        ("cluster", "device", 1 - cluster["device"]),
+        ("cluster", "link", 1 - cluster["link"]),
+        ("policy", "shard_grid", grids[(grids.index(policy["shard_grid"])
+                                        + 1) % len(grids)]),
+        ("policy", "halo_depth", policy["halo_depth"] % 3 + 1),
+    ]
+    # the two link fields separately: bandwidth only, then latency only
+    variants = []
+    for part, field, value in edits:
+        case = {"plan": dict(plan), "cluster": dict(cluster),
+                "policy": dict(policy)}
+        case[part][field] = value
+        variants.append(case)
+    for index in (0, 1):
+        bandwidth, latency = LAYOUT_LINKS[cluster["link"]]
+        other = LAYOUT_LINKS[1 - cluster["link"]]
+        link = (other[0], latency) if index == 0 else (bandwidth, other[1])
+        variants.append({"plan": dict(plan), "cluster": dict(cluster),
+                         "policy": dict(policy), "link": link})
+    return variants
+
+
+def _run_kernel_layout(plan, cluster, policy, iterations, cache, link=None):
+    compiled = _layout_plan(**plan)
+    spec = _cluster(**cluster)
+    if link is not None:
+        spec = spec.with_overrides(interconnect_bandwidth_gbs=link[0],
+                                   link_latency_seconds=link[1])
+    grid = make_grid(compiled.grid_shape, kind="random", seed=5,
+                     boundary=compiled.boundary)
+    executor = ShardedExecutor(spec, cache=cache, **policy)
+    return executor.execute(compiled, grid, iterations)
+
+
+class TestLayoutMemo:
+    """A memoized :class:`~repro.engine.sharded.ShardLayout` yields exactly
+    the run a fresh cache builds: its key names every input the layout is
+    derived from."""
+
+    @settings(**LAYOUT_SETTINGS)
+    @given(case=kernel_layout_cases())
+    def test_warm_run_equals_fresh(self, case):
+        plan, cluster, policy, iterations = case
+        warm = CompileCache()
+        for variant in _kernel_layout_variants(plan, cluster, policy):
+            with suppress(ValidationError):
+                _run_kernel_layout(variant["plan"], variant["cluster"],
+                                   variant["policy"], 6, warm,
+                                   link=variant.get("link"))
+        try:
+            fresh = _run_kernel_layout(plan, cluster, policy, iterations,
+                                       CompileCache())
+        except ValidationError:
+            event("partition rejected")
+            with pytest.raises(ValidationError):
+                _run_kernel_layout(plan, cluster, policy, iterations, warm)
+            return
+        event("compared")
+        _run_kernel_layout(plan, cluster, policy, iterations, warm)
+        hits = shard_layout_hits()
+        memoized = _run_kernel_layout(plan, cluster, policy, iterations,
+                                      warm)
+        assert shard_layout_hits() == hits + 1
+        assert layout_facts(memoized) == layout_facts(fresh)
+
+    def test_inexpressible_config_never_hits_the_memo(self, heat3d):
+        """A (2, 4, 4) config pins the same ``(r1, r2)`` request as the
+        expressible (1, 4, 4) one, yet may not shard: the config keys the
+        layout, so the warm memo cannot serve it."""
+        from repro.core.morphing import MorphConfig
+
+        cache = CompileCache()
+        compiled = compile_stencil(heat3d, (16, 20, 20), search=False,
+                                   r1=4, r2=4)
+        assert compiled.plan.config.r == (1, 4, 4)
+        grid = make_grid((16, 20, 20), kind="random", seed=2)
+        ShardedExecutor(2, cache=cache).execute(compiled, grid, 2)
+        skewed = dataclasses.replace(compiled, plan=dataclasses.replace(
+            compiled.plan, config=MorphConfig((2, 4, 4))))
+        with pytest.raises(ValidationError, match="not expressible"):
+            ShardedExecutor(2, cache=cache).execute(skewed, grid, 2)
+
+    def test_no_cache_memoizes_nothing(self, heat2d):
+        compiled = compile_stencil(heat2d, (64, 64))
+        grid = make_grid((64, 64), seed=3)
+        hits = shard_layout_hits()
+        runs = [ShardedExecutor(4).execute(compiled, grid, 2)
+                for _ in range(2)]
+        assert shard_layout_hits() == hits
+        assert layout_facts(runs[0]) == layout_facts(runs[1])
+
+    def test_warm_run_looks_nothing_up(self, heat2d):
+        """A memo hit compiles nothing and makes no plan lookup."""
+        cache = CompileCache()
+        compiled = compile_stencil(heat2d, (66, 66))
+        grid = make_grid((66, 66), seed=3)
+        executor = ShardedExecutor(4, cache=cache, halo_depth=2)
+        executor.execute(compiled, grid, 4)
+        lookups = cache.snapshot_stats().lookups
+        assert cache.metrics_snapshot()["resident_layouts"] == 1
+        again = executor.execute(compiled, grid, 4)
+        assert cache.snapshot_stats().lookups == lookups
+        assert again.overhead_seconds["shard_compile"] >= 0.0
+        cache.clear()
+        assert cache.metrics_snapshot()["resident_layouts"] == 0
+
+    def test_layout_table_cleared_when_full(self):
+        cache = CompileCache()
+        for index in range(SHARD_LAYOUT_LIMIT):
+            assert cache.shard_layout(("k", index), lambda: index) \
+                == (index, False)
+        assert cache.shard_layout(("k", 0), lambda: -1) == (0, True)
+        assert cache.shard_layout(("k", "new"), lambda: "new") \
+            == ("new", False)
+        assert cache.metrics_snapshot()["resident_layouts"] == 1
+        assert len(cache) == 0      # plans live in a separate table
+
+    def test_racing_misses_share_the_stored_layout(self):
+        cache = CompileCache()
+        barrier = threading.Barrier(4)
+
+        def build():
+            barrier.wait(timeout=10)
+            return object()
+
+        results = []
+        threads = [threading.Thread(
+            target=lambda: results.append(cache.shard_layout("key", build)))
+            for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len({id(layout) for layout, _ in results}) == 1
+        assert [hit for _, hit in results] == [False] * 4
+        assert cache.metrics_snapshot()["resident_layouts"] == 1
+
+    def test_concurrent_direct_and_served_solves_share_one_session(
+            self, heat2d):
+        """Threads mixing direct sharded solves and served requests the
+        router shards share one session: every output is the single-device
+        one, the memo holds one layout per distinct key, and every lease
+        comes back."""
+        pool = MultiDeviceSpec(device_count=4, interconnect_bandwidth_gbs=1e4,
+                               link_latency_seconds=1e-9)
+        session = StencilSession(SessionConfig(devices=pool,
+                                               min_speedup=1.0))
+        problems = [Problem(heat2d, make_grid(shape, kind="random", seed=7),
+                            iterations=4, options=dict(backend="numpy"))
+                    for shape in [(96, 104), (66, 66)]]
+        expected = [session.solve(problem, mode="single").output.tobytes()
+                    for problem in problems]
+
+        def worker(index):
+            solutions = []
+            for step in range(6):
+                which = (index + step) % 2
+                mode = "served" if (index + step) % 3 == 0 else "sharded"
+                solutions.append(
+                    (which, session.solve(problems[which], mode=mode)))
+            return solutions
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as executor:
+                futures = [executor.submit(worker, index)
+                           for index in range(6)]
+                solved = [pair for future in futures
+                          for pair in future.result(timeout=120)]
+        finally:
+            sys.setswitchinterval(interval)
+            session.close()
+
+        keys = set()
+        for which, solution in solved:
+            assert solution.output.tobytes() == expected[which]
+            run = solution.result
+            if solution.provenance.delegate == "single":
+                continue
+            spec = pool.with_overrides(device=solution.compiled.spec,
+                                       device_count=run.device_count)
+            executor = ShardedExecutor(spec, halo_depth=run.halo_depth)
+            keys.add(executor._layout_key(solution.compiled, spec))
+        assert any(solution.provenance.executor == "served"
+                   and solution.provenance.delegate == "sharded"
+                   for _, solution in solved)
+        assert session.cache.metrics_snapshot()["resident_layouts"] \
+            == len(keys)
+        assert session.scheduler.ledger.in_use == 0
