@@ -352,12 +352,14 @@ def generate_kernel(
     prebuilt_conversion: Optional[ConversionResult] = None,
     prebuilt_metadata: Optional[SparseMetadata] = None,
     prebuilt_lut: Optional[LookupTable] = None,
+    prebuilt_estimate: Optional[PerfEstimate] = None,
 ) -> KernelPlan:
     """Lower one (pattern, grid, layout) triple into a :class:`KernelPlan`.
 
     The ``prebuilt_*`` arguments let callers (notably
     :func:`repro.core.pipeline.compile_stencil`, which times each
-    preprocessing stage separately for the Figure-8 overhead split) supply
+    preprocessing stage separately for the Figure-8 overhead split, and
+    passes the layout search's estimate of the winning layout) supply
     already-constructed pieces instead of rebuilding them here.
     """
     require_in(engine, ("sparse_mma", "dense_mma"), "engine")
@@ -383,11 +385,12 @@ def generate_kernel(
 
     lut = prebuilt_lut if prebuilt_lut is not None \
         else build_lookup_table(pattern, grid_shape, config)
-    estimate = estimate_layout(
-        pattern, grid_shape, config,
-        fragment=fragment, dtype=dtype, spec=spec, engine=engine,
-        conversion_method=conversion_method,
-    )
+    estimate = prebuilt_estimate if prebuilt_estimate is not None \
+        else estimate_layout(
+            pattern, grid_shape, config,
+            fragment=fragment, dtype=dtype, spec=spec, engine=engine,
+            conversion_method=conversion_method,
+        )
     threads, blocks = _launch_geometry(block_hint, lut.n_prime, spec)
     slot_table = (build_slot_table(conversion, metadata, lut, dtype)
                   if conversion is not None and metadata is not None else None)

@@ -9,6 +9,13 @@ Turns the staircase kernel matrix ``A'`` produced by layout morphing into a
 3. inserting the required all-zero columns and applying the Permutation
    Invariant Transformation so matched pairs land in adjacent K slots.
 
+:func:`select_matching` is the one rule that picks the matching solver.
+:func:`convert_to_24` follows it to build the conversion; the layout search
+follows it through :func:`padded_depth`, which needs only the *number* of
+zero columns and so stands in the pure-Python :func:`exact_matching` for
+Blossom — the same pad count at a fraction of the cost.  A compile
+therefore runs Blossom at most once, on the winning layout.
+
 The returned :class:`ConversionResult` also knows how to apply the same
 row permutation to any input matrix ``B'``, preserving
 ``A' @ B' = A'' @ B''`` exactly.  The generated kernel folds the
@@ -21,13 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.matching import (
     MatchingResult,
     blossom_matching,
+    exact_matching,
     greedy_matching,
     hierarchical_matching,
     matching_to_permutation,
@@ -35,9 +43,20 @@ from repro.core.matching import (
 from repro.core.pit import apply_pit, pad_operands
 from repro.core.staircase import BlockStructure
 from repro.tcu.sparsity24 import is_24_sparse, sparsity_ratio
+from repro.util.arrays import ceil_div
 from repro.util.validation import require, require_array, require_in
 
-__all__ = ["ConversionResult", "convert_to_24"]
+__all__ = [
+    "BLOSSOM_COLUMN_LIMIT",
+    "ConversionResult",
+    "convert_to_24",
+    "padded_depth",
+    "select_matching",
+]
+
+#: Above this column count ``method="auto"`` prefers the quadratic greedy
+#: fallback over Blossom, whose worst case is cubic in the column count.
+BLOSSOM_COLUMN_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -108,6 +127,65 @@ def _validate(a_prime: np.ndarray, matching: MatchingResult) -> bool:
     return matching.is_cover() and matching.is_conflict_free(a_prime)
 
 
+def select_matching(
+    a_prime: np.ndarray,
+    structure: Optional[BlockStructure],
+    method: str,
+) -> Tuple[str, Optional[MatchingResult]]:
+    """Pick the matching solver :func:`convert_to_24` runs for ``method``.
+
+    Returns ``(solver, matching)``: ``solver`` is ``"hierarchical"``,
+    ``"greedy"`` or ``"blossom"``; ``matching`` is the already-validated
+    hierarchical matching when that is the pick, else ``None``.  ``"auto"``
+    takes the hierarchical matching when a structure is given and the
+    matching is valid for ``a_prime``, then Blossom up to
+    :data:`BLOSSOM_COLUMN_LIMIT` columns and greedy beyond.  Raises
+    :class:`~repro.util.validation.ValidationError` for
+    ``"hierarchical"`` without a structure or on a matrix that is not
+    k-staircase.
+    """
+    require_in(method, ("auto", "hierarchical", "greedy", "blossom"), "method")
+    if method in ("auto", "hierarchical"):
+        if structure is None:
+            require(method == "auto",
+                    "hierarchical conversion requires a block structure")
+        else:
+            require(structure.n_columns == a_prime.shape[1],
+                    f"structure covers {structure.n_columns} columns but A' has "
+                    f"{a_prime.shape[1]}")
+            candidate = hierarchical_matching(structure)
+            if _validate(a_prime, candidate):
+                return "hierarchical", candidate
+            require(method == "auto",
+                    "hierarchical matching produced conflicting pairs for "
+                    "this matrix (it is not k-staircase); use method='auto', "
+                    "'greedy' or 'blossom'")
+    if method == "blossom" or (method == "auto" and
+                               a_prime.shape[1] <= BLOSSOM_COLUMN_LIMIT):
+        return "blossom", None
+    return "greedy", None
+
+
+def padded_depth(
+    a_prime: np.ndarray,
+    *,
+    structure: Optional[BlockStructure] = None,
+    method: str = "auto",
+) -> int:
+    """The ``n_total`` :func:`convert_to_24` would produce, without converting.
+
+    Follows :func:`select_matching`, but where that picks Blossom it counts
+    zero columns with :func:`exact_matching`: every maximum matching leaves
+    the same number of columns unpaired, so the depth is the same.
+    """
+    a_prime = require_array(a_prime, "a_prime", ndim=2)
+    used, matching = select_matching(a_prime, structure, method)
+    if matching is None:
+        solver = greedy_matching if used == "greedy" else exact_matching
+        matching = solver(a_prime)
+    return 4 * ceil_div(a_prime.shape[1] + matching.n_pad, 4)
+
+
 def convert_to_24(
     a_prime: np.ndarray,
     *,
@@ -136,41 +214,10 @@ def convert_to_24(
         §3.2 fallback behaviour, bounded so compilation stays fast).
     """
     a_prime = require_array(a_prime, "a_prime", ndim=2)
-    require_in(method, ("auto", "hierarchical", "greedy", "blossom"), "method")
-
-    #: Above this column count `auto` prefers the quadratic greedy fallback
-    #: over Blossom, whose worst case is cubic in the column count.
-    blossom_column_limit = 256
-
-    matching: Optional[MatchingResult] = None
-    used = method
-    if method in ("auto", "hierarchical"):
-        if structure is None:
-            require(method == "auto",
-                    "hierarchical conversion requires a block structure")
-        else:
-            require(structure.n_columns == a_prime.shape[1],
-                    f"structure covers {structure.n_columns} columns but A' has "
-                    f"{a_prime.shape[1]}")
-            candidate = hierarchical_matching(structure)
-            if _validate(a_prime, candidate):
-                matching = candidate
-                used = "hierarchical"
-            else:
-                require(method == "auto",
-                        "hierarchical matching produced conflicting pairs for "
-                        "this matrix (it is not k-staircase); use method='auto', "
-                        "'greedy' or 'blossom'")
-    if matching is None and method == "greedy":
-        matching = greedy_matching(a_prime)
-        used = "greedy"
-    if matching is None and (method == "blossom" or
-                             a_prime.shape[1] <= blossom_column_limit):
-        matching = blossom_matching(a_prime)
-        used = "blossom"
+    used, matching = select_matching(a_prime, structure, method)
     if matching is None:
-        matching = greedy_matching(a_prime)
-        used = "greedy"
+        solver = greedy_matching if used == "greedy" else blossom_matching
+        matching = solver(a_prime)
     require(_validate(a_prime, matching),
             f"{used} matching failed to produce a valid cover")
 

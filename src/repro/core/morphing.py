@@ -167,19 +167,15 @@ def morph_kernel_matrix(pattern: StencilPattern, config: MorphConfig,
     m_prime = config.outputs_per_tile
     k_prime = int(np.prod(patch_shape))
 
+    # row a (row-major over r) takes tap p at patch position a + p + radius
+    strides = np.array([int(np.prod(patch_shape[axis + 1:]))
+                        for axis in range(pattern.ndim)], dtype=np.int64)
+    tile_offsets = np.indices(config.r).reshape(pattern.ndim, m_prime)
+    taps = np.asarray(pattern.offsets, dtype=np.int64) + radius
+    cols = (strides @ tile_offsets)[:, None] + (taps @ strides)[None, :]
+
     a_prime = np.zeros((m_prime, k_prime), dtype=dtype)
-    offsets_in_tile = list(np.ndindex(*config.r))
-    patch_strides = np.array(
-        [int(np.prod(patch_shape[axis + 1:])) for axis in range(pattern.ndim)],
-        dtype=np.int64,
-    )
-    for row, tile_offset in enumerate(offsets_in_tile):
-        for tap_offset, weight in zip(pattern.offsets, pattern.weights):
-            # tap position within the patch: tile offset + (tap + radius)
-            position = [tile_offset[axis] + tap_offset[axis] + radius
-                        for axis in range(pattern.ndim)]
-            col = int(np.dot(position, patch_strides))
-            a_prime[row, col] = weight
+    a_prime[np.arange(m_prime)[:, None], cols] = np.asarray(pattern.weights)
     return a_prime
 
 

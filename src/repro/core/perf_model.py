@@ -1,10 +1,13 @@
 """Analytical performance model (§3.3, Eq. 6–10 and Table 1).
 
 The model evaluates one candidate layout ``(r1, r2)`` without executing
-anything: it derives the morphed operand shapes, runs the (cheap, exact)
-structured-sparsity conversion on the kernel matrix to learn the padded
-reduction depth, and converts fragment counts plus memory volumes into the
-roofline time ``T = max(T_compute, T_memory)``.
+anything: it derives the morphed operand shapes, learns the padded
+reduction depth from the *number* of zero columns the structured-sparsity
+conversion would insert (:func:`repro.core.conversion.padded_depth` — it
+never builds the converted matrix, and counts with an exact
+maximum-cardinality matching where the conversion would run Blossom), and
+converts fragment counts plus memory volumes into the roofline time
+``T = max(T_compute, T_memory)``.
 
 The same estimate later feeds the simulated end-to-end timing, so the layout
 the search picks is optimal *for the simulator by construction* — the role
@@ -14,11 +17,11 @@ the model plays for the real GPU in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.core.conversion import ConversionResult, convert_to_24
+from repro.core.conversion import padded_depth
 from repro.core.morphing import MorphConfig, morph_kernel_matrix, morphed_shapes
 from repro.core.staircase import block_structure_from_morph
 from repro.stencils.pattern import StencilPattern
@@ -51,7 +54,6 @@ class PerfEstimate:
     traffic: MemoryTraffic
     sparsity: float
     compute_density: float
-    conversion: Optional[ConversionResult]
 
     @property
     def t_total(self) -> float:
@@ -87,8 +89,9 @@ def estimate_layout(
     Parameters
     ----------
     engine:
-        ``"sparse_mma"`` — 2:4 conversion is performed and the sparse
-        Tensor-Core rate is used (requires a sparse-capable dtype);
+        ``"sparse_mma"`` — the reduction depth is padded as the 2:4
+        conversion would pad it and the sparse Tensor-Core rate is used
+        (requires a sparse-capable dtype);
         ``"dense_mma"`` — the morphed operands run on dense Tensor Cores
         (the ConvStencil-style execution and the FP64 path of Table 3).
     """
@@ -104,18 +107,16 @@ def estimate_layout(
 
     m_prime, k_prime, n_prime = morphed_shapes(pattern, grid_shape, config)
 
-    conversion: Optional[ConversionResult] = None
+    a_prime = morph_kernel_matrix(pattern, config)
     if engine == "sparse_mma":
-        a_prime = morph_kernel_matrix(pattern, config)
         structure = block_structure_from_morph(pattern, config)
-        conversion = convert_to_24(a_prime, structure=structure,
-                                   method=conversion_method)
-        k_padded = conversion.n_total
-        sparsity = conversion.sparsity()
+        k_padded = padded_depth(a_prime, structure=structure,
+                                method=conversion_method)
     else:
-        a_prime = morph_kernel_matrix(pattern, config)
         k_padded = k_prime
-        sparsity = 1.0 - np.count_nonzero(a_prime) / a_prime.size
+    # zero fraction of the kernel operand: the 2:4 conversion only inserts
+    # zero columns and permutes, so its nonzeros are exactly those of A'
+    sparsity = 1.0 - (np.count_nonzero(a_prime) / (m_prime * k_padded))
 
     n_mma = mma_count(m_prime, k_padded, n_prime, fragment)
     t_compute = compute_time(n_mma, spec, fragment, dtype=dtype)
@@ -158,5 +159,4 @@ def estimate_layout(
         traffic=traffic,
         sparsity=float(sparsity),
         compute_density=float(compute_density),
-        conversion=conversion,
     )

@@ -389,6 +389,8 @@ def compile_resolved(options: CompileOptions) -> CompiledStencil:
         prebuilt_conversion=conversion,
         prebuilt_metadata=metadata,
         prebuilt_lut=lut,
+        prebuilt_estimate=(None if search_result is None
+                           else search_result.best.estimate),
     )
 
     return CompiledStencil(

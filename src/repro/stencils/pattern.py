@@ -105,6 +105,9 @@ class StencilPattern:
             self, "offsets", tuple(tuple(int(v) for v in off) for off in self.offsets)
         )
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        # derived once: the layout search and every compile stage read it
+        object.__setattr__(self, "_radius", int(max(
+            max(abs(v) for v in off) for off in self.offsets)))
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -199,7 +202,7 @@ class StencilPattern:
     @property
     def radius(self) -> int:
         """Maximum absolute offset along any axis."""
-        return int(max(max(abs(v) for v in off) for off in self.offsets))
+        return self._radius
 
     @property
     def diameter(self) -> int:

@@ -35,7 +35,9 @@ GOLDEN_DIR = Path(__file__).parent
 #: configurations.  Star-2D13P's high-order weights sum to ~0, which
 #: amplifies fp16 rounding identically under every boundary condition —
 #: hence its looser reference tolerance (drift against the frozen pipeline
-#: output stays near-exact for all cases).
+#: output stays near-exact for all cases).  The 3-D cases are the only ones
+#: whose layout search and conversion take the non-staircase (Blossom)
+#: matching path.
 CASES = [
     ("Heat-1D", (2048,), 4, 2026, "dirichlet", 5e-3),
     ("Heat-2D", (96, 96), 4, 2026, "dirichlet", 5e-3),
@@ -44,6 +46,8 @@ CASES = [
     ("Star-2D13P", (96, 96), 2, 2026, "reflect", 5e-2),
     ("Box-2D9P", (96, 96), 2, 2026, "periodic", 5e-3),
     ("Box-2D9P", (96, 96), 2, 2026, "reflect", 5e-3),
+    ("Heat-3D", (24, 24, 24), 2, 2026, "dirichlet", 5e-3),
+    ("Box-3D27P", (24, 24, 24), 2, 2026, "dirichlet", 5e-3),
 ]
 
 

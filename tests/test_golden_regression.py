@@ -26,8 +26,8 @@ import pytest
 
 from golden.generate_golden import CASES, fixture_path
 
-from repro import compile_stencil, get_benchmark, make_grid, run_stencil
-from repro.service import CompileCache, SolveRequest, solve_many
+from repro import Problem, compile_stencil, default_session, get_benchmark, make_grid
+from repro.service import CompileCache
 
 CASE_IDS = [f"{c[0]}-{c[4]}" for c in CASES]
 
@@ -42,6 +42,11 @@ def load_fixture(name: str, boundary: str):
         f"golden fixture {path} missing — regenerate with "
         f"`PYTHONPATH=src python tests/golden/generate_golden.py`")
     return np.load(path)
+
+def run_plan(compiled, grid, iterations: int):
+    """Run a compiled plan on one device through the default session."""
+    return default_session().run(compiled, grid, iterations, cache=None).result
+
 
 def workload(name: str, grid_shape, seed: int, boundary: str):
     config = get_benchmark(name)
@@ -66,7 +71,7 @@ class TestGoldenRegression:
         pattern, grid = workload(name, grid_shape, seed, boundary)
         compiled = compile_stencil(pattern, grid_shape, boundary=boundary,
                                    backend="tcu-sim")
-        result = run_stencil(compiled, grid, iterations)
+        result = run_plan(compiled, grid, iterations)
         assert np.max(np.abs(result.output - fixture["reference"])) < ref_tol
         np.testing.assert_allclose(result.output, fixture["pipeline"],
                                    rtol=0.0, atol=DRIFT_TOL)
@@ -81,7 +86,7 @@ class TestGoldenRegression:
         compiled = cache.compile(pattern, grid_shape, boundary=boundary,
                                  backend="tcu-sim")  # warm hit
         assert cache.stats.hits == 1
-        result = run_stencil(compiled, grid, iterations)
+        result = run_plan(compiled, grid, iterations)
         np.testing.assert_allclose(result.output, fixture["pipeline"],
                                    rtol=0.0, atol=DRIFT_TOL)
 
@@ -97,11 +102,12 @@ def test_batched_service_matches_goldens():
     fixtures = []
     for name, grid_shape, iterations, seed, boundary, _tol in CASES:
         pattern, grid = workload(name, grid_shape, seed, boundary)
-        requests.append(SolveRequest(pattern, grid, iterations,
-                                     options={"backend": "tcu-sim"},
-                                     tag=f"{name}-{boundary}"))
+        requests.append(Problem(pattern, grid, iterations,
+                                options={"backend": "tcu-sim"},
+                                tag=f"{name}-{boundary}"))
         fixtures.append(load_fixture(name, boundary))
-    report = solve_many(requests)
+    # cache=None gives the batch a private cache: every plan compiles fresh
+    report = default_session().solve_batch(requests, cache=None)
     for item, fixture in zip(report.items, fixtures):
         np.testing.assert_allclose(item.result.output, fixture["pipeline"],
                                    rtol=0.0, atol=DRIFT_TOL)

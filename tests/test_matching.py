@@ -1,13 +1,17 @@
-"""Unit tests for the Hierarchical Two-Level Matching (Algorithm 1) and the
-Blossom fallback."""
+"""Unit tests for the Hierarchical Two-Level Matching (Algorithm 1), the
+Blossom fallback and the exact cardinality matcher the layout search scores
+candidates with."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.conflict import conflict_matrix
 from repro.core.matching import (
     MatchingResult,
     blossom_matching,
+    exact_matching,
+    greedy_matching,
     hierarchical_matching,
     matching_to_permutation,
 )
@@ -111,6 +115,100 @@ class TestBlossomMatching:
         hier = hierarchical_matching(structure)
         blos = blossom_matching(a_prime)
         assert hier.n_pad == blos.n_pad
+
+
+def incidence_matrix(n, edges):
+    """A matrix whose conflict graph is exactly ``edges`` over ``n`` columns:
+    one row per edge, nonzero at both endpoints."""
+    matrix = np.zeros((max(len(edges), 1), n))
+    for row, (u, v) in enumerate(edges):
+        matrix[row, [u, v]] = 1.0
+    return matrix
+
+
+@st.composite
+def zero_one_matrices(draw):
+    rows = draw(st.integers(min_value=1, max_value=10))
+    columns = draw(st.integers(min_value=0, max_value=40))
+    density = draw(st.floats(min_value=0.0, max_value=1.0))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    return (rng.random((rows, columns)) < density).astype(float)
+
+
+@st.composite
+def conflict_graphs(draw):
+    """``(n, edges)``: empty, complete and odd-``n`` graphs all come up."""
+    n = draw(st.integers(min_value=1, max_value=25))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    shape = draw(st.sampled_from(["random", "empty", "complete"]))
+    if shape == "empty":
+        return n, []
+    if shape == "complete":
+        return n, pairs
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return n, [pair for pair, kept in zip(pairs, keep) if kept]
+
+
+class TestExactMatching:
+    @given(matrix=zero_one_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_pads_as_blossom_on_random_matrices(self, matrix):
+        exact = exact_matching(matrix)
+        assert exact.is_cover()
+        assert exact.is_conflict_free(matrix)
+        assert exact.n_pad == blossom_matching(matrix).n_pad
+
+    @given(graph=conflict_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_pads_as_blossom_on_random_graphs(self, graph):
+        matrix = incidence_matrix(*graph)
+        exact = exact_matching(matrix)
+        assert exact.is_cover()
+        assert exact.is_conflict_free(matrix)
+        assert exact.n_pad == blossom_matching(matrix).n_pad
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_empty_and_complete_graphs(self, n):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        assert exact_matching(incidence_matrix(n, [])).n_pad == n % 2
+        assert exact_matching(incidence_matrix(n, pairs)).n_pad == n
+
+    def test_no_columns(self):
+        matching = exact_matching(np.zeros((3, 0)))
+        assert matching.pairs == () and matching.n_pad == 0
+
+    @staticmethod
+    def complement_of(n, free):
+        """The matrix whose conflict-graph complement has exactly ``free``."""
+        return incidence_matrix(n, [(u, v) for u in range(n)
+                                    for v in range(u + 1, n)
+                                    if (u, v) not in free])
+
+    def test_augments_past_the_greedy_pairing(self):
+        # first fit pairs (0, 3) and strands 1, 2 and 4; the augmenting path
+        # 4-0-3-2 pairs all but column 1
+        matrix = self.complement_of(5, {(0, 3), (0, 4), (2, 3)})
+        assert greedy_matching(matrix).n_pad == 3
+        assert exact_matching(matrix).n_pad == 1
+
+    def test_contracts_an_odd_cycle(self):
+        # first fit pairs (0, 1) and (2, 3), stranding 4 (free only with 1)
+        # and 5 (free with 1 and 2).  From either, the search reaches 2 as an
+        # odd vertex first, so 2's exit is only found once the odd cycle
+        # 0-2-3 is contracted: 4-1-0-3-2-5 augments to a perfect pairing
+        matrix = self.complement_of(
+            6, {(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 3), (2, 5)})
+        assert greedy_matching(matrix).n_pad == 2
+        assert exact_matching(matrix).n_pad == 0
+        assert blossom_matching(matrix).n_pad == 0
+
+    @pytest.mark.parametrize("r1,r2", [(4, 4), (8, 2), (2, 6), (6, 6)])
+    def test_pads_as_blossom_on_3d_morphs(self, r1, r2):
+        pattern = StencilPattern.box(3, 1)
+        a_prime, _ = _morph(pattern, r1, r2)
+        assert exact_matching(a_prime).n_pad == blossom_matching(a_prime).n_pad
 
 
 class TestMatchingToPermutation:

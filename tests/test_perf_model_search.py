@@ -9,8 +9,10 @@ from repro.core.layout_search import (
     search_layout,
     search_layout_many,
 )
-from repro.core.morphing import MorphConfig
+from repro.core.conversion import convert_to_24
+from repro.core.morphing import MorphConfig, morph_kernel_matrix
 from repro.core.perf_model import estimate_layout
+from repro.core.staircase import block_structure_from_morph
 from repro.stencils.pattern import StencilPattern
 from repro.tcu.spec import A100_SPEC, DENSE_FRAGMENTS, DataType, SPARSE_FRAGMENTS
 from repro.util.validation import ValidationError
@@ -29,13 +31,14 @@ class TestEstimateLayout:
                               engine="sparse_mma")
         assert est.k_padded >= est.k_prime
         assert est.k_padded % 4 == 0
-        assert est.conversion is not None
+        a_prime = morph_kernel_matrix(box2d9p, est.config)
+        structure = block_structure_from_morph(box2d9p, est.config)
+        assert est.k_padded == convert_to_24(a_prime, structure=structure).n_total
 
     def test_dense_engine_keeps_k(self, box2d9p):
         est = estimate_layout(box2d9p, GRID_2D, MorphConfig.from_r1_r2(2, 4, 4),
                               engine="dense_mma", fragment=DENSE_FRAGMENTS[0])
         assert est.k_padded == est.k_prime
-        assert est.conversion is None
 
     def test_mma_count_matches_eq9(self, box2d9p):
         cfg = MorphConfig.from_r1_r2(2, 4, 4)

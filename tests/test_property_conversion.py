@@ -1,18 +1,32 @@
-"""Property-based tests for 2:4 conversion, PIT and the sparse MMA model."""
+"""Property-based tests for 2:4 conversion, PIT and the sparse MMA model,
+and for the layout search's conversion-free depth estimate."""
 
+import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.conversion import convert_to_24
+from repro import get_benchmark
+from repro.core.conversion import (
+    BLOSSOM_COLUMN_LIMIT,
+    convert_to_24,
+    padded_depth,
+    select_matching,
+)
+from repro.core.layout_search import default_search_space, search_layout
 from repro.core.matching import blossom_matching, matching_to_permutation
 from repro.core.morphing import MorphConfig, morph_kernel_matrix
+from repro.core.perf_model import estimate_layout
+from repro.core.pipeline import compile_stencil
 from repro.core.pit import apply_pit
 from repro.core.staircase import block_structure_from_morph
 from repro.core.metadata import pack_indices, unpack_indices
+from repro.stencils.catalog import full_catalog
 from repro.stencils.pattern import StencilPattern
 from repro.tcu.sparse_mma import sparse_mma
 from repro.tcu.sparsity24 import compress_24, decompress_24, is_24_sparse
 from repro.tcu.spec import SPARSE_FRAGMENTS, DataType
+from repro.util.validation import ValidationError
 
 SETTINGS = dict(max_examples=30, deadline=None)
 
@@ -120,3 +134,75 @@ class TestConversionProperties:
         order, n_total = matching_to_permutation(matching)
         assert n_total % 4 == 0
         assert sorted(order.tolist()) == list(range(n_total))
+
+
+#: Grid per dimensionality for the estimate checks; only ``n'`` depends on it.
+ESTIMATE_GRIDS = {1: (4096,), 2: (256, 256), 3: (64, 64, 64)}
+
+
+def assert_estimates_match_conversion(pattern):
+    """Over every default candidate, the search's depth and sparsity are the
+    ones the real conversion produces."""
+    for r1, r2 in default_search_space(pattern):
+        config = MorphConfig.from_r1_r2(pattern.ndim, r1, r2)
+        estimate = estimate_layout(pattern, ESTIMATE_GRIDS[pattern.ndim],
+                                   config)
+        conversion = convert_to_24(
+            morph_kernel_matrix(pattern, config),
+            structure=block_structure_from_morph(pattern, config))
+        assert (estimate.k_padded, estimate.sparsity) == \
+            (conversion.n_total, conversion.sparsity()), (pattern.name, r1, r2)
+
+
+class TestConversionFreeEstimate:
+    @pytest.mark.parametrize("name", ["Heat-3D", "Box-3D27P", "Box-2D49P"])
+    def test_estimate_matches_conversion(self, name):
+        assert_estimates_match_conversion(get_benchmark(name).pattern)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("pattern", full_catalog(),
+                             ids=[p.name for p in full_catalog()])
+    def test_estimate_matches_conversion_over_catalog(self, pattern):
+        assert_estimates_match_conversion(pattern)
+
+    @given(matrix=random_sparsity_matrix(),
+           method=st.sampled_from(["auto", "greedy", "blossom"]))
+    @settings(**SETTINGS)
+    def test_padded_depth_matches_conversion(self, matrix, method):
+        assert padded_depth(matrix, method=method) == \
+            convert_to_24(matrix, method=method).n_total
+
+    @pytest.mark.parametrize("name,blossom_calls", [("Box-3D27P", 1),
+                                                    ("Heat-3D", 0)])
+    def test_one_compile_runs_blossom_at_most_once(self, monkeypatch, name,
+                                                   blossom_calls):
+        calls = []
+        blossom = nx.algorithms.matching.max_weight_matching
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return blossom(*args, **kwargs)
+
+        monkeypatch.setattr(nx.algorithms.matching, "max_weight_matching",
+                            counting)
+        compiled = compile_stencil(get_benchmark(name).pattern, (24, 24, 24))
+        # Box-3D27P's winner converts with Blossom; Heat-3D's is staircase
+        assert compiled.plan.conversion.method == \
+            ("blossom" if blossom_calls else "hierarchical")
+        assert len(calls) == blossom_calls
+
+    def test_auto_runs_blossom_up_to_the_column_limit(self):
+        for columns, solver in ((BLOSSOM_COLUMN_LIMIT, "blossom"),
+                                (BLOSSOM_COLUMN_LIMIT + 1, "greedy")):
+            assert select_matching(np.eye(columns), None, "auto") == \
+                (solver, None)
+
+    def test_hierarchical_on_non_staircase_still_rejected(self):
+        pattern = get_benchmark("Box-3D27P").pattern
+        with pytest.raises(ValidationError, match="not k-staircase"):
+            search_layout(pattern, (24, 24, 24),
+                          conversion_method="hierarchical")
+
+    def test_hierarchical_without_structure_still_rejected(self):
+        with pytest.raises(ValidationError, match="requires a block structure"):
+            padded_depth(np.eye(4), method="hierarchical")
