@@ -10,8 +10,9 @@ share of wall time exposed to communication), per-shard utilization (how
 evenly the devices are loaded) — and the analytic deep-halo tradeoff: how
 ``halo_depth`` trades redundant ghost-zone compute against exchange latency,
 and where the crossover sits for a given workload and interconnect
-(:func:`deep_halo_tradeoff`, built on the same
-:func:`repro.engine.sharded.model_round` the routing scheduler prices with).
+(:func:`deep_halo_tradeoff`, priced by the same
+:func:`repro.engine.sharded.price_schedule` walk the routing scheduler and
+the sharded executor bill with).
 """
 
 from __future__ import annotations
@@ -257,29 +258,32 @@ def deep_halo_tradeoff(
     """Price every feasible ``halo_depth`` for one compiled workload.
 
     Builds the real partition geometry at each depth and prices its
-    steady-state round with :func:`repro.engine.sharded.model_round` — the
-    identical model the :class:`~repro.server.scheduler.DevicePoolScheduler`
-    routes with and the :class:`~repro.engine.sharded.ShardedExecutor`
-    bills, so the predicted crossover is directly comparable to measured
+    steady-state round
+    (:meth:`repro.engine.sharded.RoundSchedule.steady_state`) with
+    :func:`repro.engine.sharded.price_schedule` — the walk the
+    :class:`~repro.server.scheduler.DevicePoolScheduler` routes with, over
+    the per-sweep rule the :class:`~repro.engine.sharded.ShardedExecutor`
+    bills — so the predicted crossover is directly comparable to measured
     elapsed times from :func:`sharded_scaling`.
 
     With ``window_estimates`` (the default), per-window compute is priced
-    from each window's own compiled roofline
-    (:func:`repro.engine.sharded.window_plan_seconds`, through ``cache`` —
-    share the executor's cache and nothing compiles twice) rather than the
-    scheduler's compile-free linear-in-cells approximation; the roofline's
-    fixed costs make redundant ghost compute sublinear, and the prediction
-    must bill what the executor will bill for the crossover to land on the
-    measured depth.
+    from each window's own compiled roofline — read off the executor's
+    layout (:meth:`repro.engine.sharded.ShardLayout.window_seconds`),
+    memoized on ``cache``, so a later run with the same cache compiles and
+    builds nothing — rather than the scheduler's compile-free
+    linear-in-cells approximation; the roofline's fixed costs make
+    redundant ghost compute sublinear, and the prediction must bill what
+    the executor will bill for the crossover to land on the measured
+    depth.
 
     With ``iterations``, the finite schedule is priced instead
-    (:func:`repro.engine.sharded.model_schedule`): the first round skips
-    its exchange and the last round may be partial, exactly as the executor
-    runs them, so the predicted depth matches a measured sweep of that
-    iteration count rather than the steady-state amortisation.
+    (:meth:`repro.engine.sharded.RoundSchedule.kernel`): the first round
+    skips its exchange and the last round may be partial, exactly as the
+    executor runs them, so the predicted depth matches a measured sweep of
+    that iteration count rather than the steady-state amortisation.
     """
-    from repro.engine.sharded import (model_round, model_schedule,
-                                      window_plan_seconds)
+    from repro.engine.sharded import (RoundSchedule, ShardedExecutor,
+                                      ShardGeometry, price_schedule)
 
     require_positive_int(max_depth, "max_depth")
     if isinstance(devices, MultiDeviceSpec):
@@ -288,40 +292,37 @@ def deep_halo_tradeoff(
         require_positive_int(int(devices), "devices")
         spec = MultiDeviceSpec(device=compiled.spec,
                                device_count=int(devices))
-    align = compiled.plan.config.r
-    radius = compiled.pattern.radius
-    grid_arg = shard_grid if shard_grid is not None else spec.device_count
     feasible = GridPartition.max_halo_depth(
-        compiled.grid_shape, radius, grid_arg, align=align,
-        boundary=compiled.boundary)
-    sweep = compiled.plan.estimate.t_total
-    itemsize = compiled.plan.dtype.itemsize
+        compiled.grid_shape, compiled.pattern.radius,
+        shard_grid if shard_grid is not None else spec.device_count,
+        align=compiled.plan.config.r, boundary=compiled.boundary)
 
     points = []
     resolved_grid: Tuple[int, ...] = ()
     for depth in range(1, min(max_depth, feasible) + 1):
-        partition = GridPartition.build(
-            compiled.grid_shape, radius, grid_arg, align=align,
-            boundary=compiled.boundary, halo_depth=depth)
-        resolved_grid = partition.shard_grid
-        window_seconds = window_plan_seconds(
-            compiled, spec, partition, cache=cache) \
-            if window_estimates else None
-        if iterations is not None:
-            model = model_schedule(partition, spec, itemsize, iterations,
-                                   sweep, overlap=overlap,
-                                   window_seconds=window_seconds)
+        executor = ShardedExecutor(spec, shard_grid=shard_grid, cache=cache,
+                                   halo_depth=depth)
+        if window_estimates:
+            layout = executor.layout(compiled)
+            partition, geometry = layout.partition, layout.geometry
+            seconds = layout.window_seconds()
         else:
-            model = model_round(partition, spec, itemsize, sweep,
-                                overlap=overlap,
-                                window_seconds=window_seconds)
+            partition = executor.partition(compiled)
+            geometry = ShardGeometry.build(partition, spec,
+                                           compiled.plan.dtype.itemsize)
+            seconds = {"": geometry.linear_seconds(
+                compiled.plan.estimate.t_total)}
+        resolved_grid = partition.shard_grid
+        schedule = RoundSchedule.steady_state(depth) if iterations is None \
+            else RoundSchedule.kernel(iterations, depth)
+        bill = price_schedule(schedule, geometry, seconds, overlap)
         points.append(DeepHaloPoint(
             halo_depth=depth,
-            per_sweep_seconds=model.per_sweep_seconds,
-            halo_seconds=model.halo_seconds,
-            exposed_seconds=model.exposed_seconds,
-            halo_fraction=model.halo_fraction,
-            redundant_fraction=model.redundant_fraction,
+            per_sweep_seconds=bill.per_sweep_seconds,
+            halo_seconds=bill.halo_seconds,
+            exposed_seconds=bill.exposed_seconds,
+            halo_fraction=bill.halo_fraction,
+            redundant_fraction=bill.redundant_fraction,
         ))
     require(len(points) > 0, "no feasible halo depth — grid too small to "
                              "shard at all")

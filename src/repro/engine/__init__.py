@@ -13,9 +13,11 @@ after that:
 * :mod:`repro.engine.sharded` — :class:`ShardedExecutor`, domain-decomposed
   execution across N simulated devices with communication-avoiding deep
   halos (exchange once per ``halo_depth`` sweeps), modelled compute/comm
-  overlap, and the shared round-cost model (:func:`model_round` /
-  :func:`model_schedule`) the scheduler and analysis layers price with —
-  bit-identical to the single-device run at every depth.
+  overlap, and the one round schedule every sharded path is priced and
+  run by (:class:`RoundSchedule` over a :class:`ShardGeometry`, billed by
+  :func:`price_schedule` for the scheduler and analysis layers and by the
+  executors' shared round loop) — bit-identical to the single-device run at
+  every depth.
 """
 
 from repro.engine.base import (
@@ -29,12 +31,12 @@ from repro.engine.base import (
 )
 from repro.engine.single import SingleDeviceExecutor, leftover_plan
 from repro.engine.sharded import (
-    HaloRoundModel,
+    RoundBill,
+    RoundSchedule,
     ShardedExecutor,
     ShardedRunResult,
-    model_round,
-    model_schedule,
-    window_plan_seconds,
+    ShardGeometry,
+    price_schedule,
 )
 
 __all__ = [
@@ -47,10 +49,10 @@ __all__ = [
     "run_sweep",
     "SingleDeviceExecutor",
     "leftover_plan",
-    "HaloRoundModel",
+    "RoundBill",
+    "RoundSchedule",
     "ShardedExecutor",
     "ShardedRunResult",
-    "model_round",
-    "model_schedule",
-    "window_plan_seconds",
+    "ShardGeometry",
+    "price_schedule",
 ]

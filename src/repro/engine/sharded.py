@@ -32,34 +32,43 @@ Communication avoidance happens along two axes:
 The modelled wall time is the weak-scaling critical path: slowest shard per
 sweep plus whatever exchange time the overlap could not hide.
 
+One schedule, priced and executed by the same code.  A
+:class:`RoundSchedule` lists a run's rounds — an optional halo exchange,
+then ``(stage, window mult)`` sweeps — and a :class:`ShardGeometry` holds
+a partition's per-shard halo seconds and cell counts.  :class:`RoundBill`
+is the one per-sweep billing rule: :func:`price_schedule` walks a schedule
+with modelled per-window seconds, and the one round loop both
+:class:`ShardedExecutor` and :class:`repro.programs.ShardedProgramRunner`
+run through (:meth:`ShardedRunner._run_schedule`) bills each sweep from the
+shards' launch seconds, so a model and a run of one schedule agree to the
+bit.
+
 Everything a run derives from (plan, cluster, policy) alone — the
 partition with its precomputed exchange ops, the round groups, one
-per-window phase table per stage, the per-shard halo seconds and the cell
-counts — is a :class:`ShardLayout`.  Layouts are built once per *layout
-key* and memoized on the executor's compile cache
-(:meth:`repro.service.CompileCache.shard_layout`), so per-window plans are
-compiled (or looked up) on a memo miss only and a warm sharded run moves
-only data.  The key is content, not identity: for a kernel, the
-fingerprint of the pinned full-grid :func:`window_request`, the plan's
-layout config, the cluster's device count, interconnect bandwidth and link
-latency, and the requested shard grid and halo depth; for a program (see
-:mod:`repro.programs.executor`), the program fingerprint, the stage names
-in execution order, the cluster device and link, the shard grid and
-``fuse``.  Without a cache nothing is memoized.  Hits and misses are
-counted as ``engine.shard_layout_hits`` / ``engine.shard_layout_misses`` in
-the global metrics registry and tagged ``memo="hit"|"miss"`` on the
-``shard_compile`` span, whose duration — also reported as
-``overhead_seconds["shard_compile"]`` — is the build on a miss and the
-lookup on a hit.
+per-window phase table per stage and the :class:`ShardGeometry` — is a
+:class:`ShardLayout`, built once per *layout key* (content, not identity;
+see each runner's ``_layout_key``) and memoized on the runner's compile
+cache (:meth:`repro.service.CompileCache.shard_layout`), so per-window
+plans are compiled (or looked up) on a memo miss only and a warm sharded
+run moves only data.  Without a cache nothing is memoized.  Hits and
+misses are counted as ``engine.shard_layout_hits`` /
+``engine.shard_layout_misses`` in the global metrics registry and tagged
+``memo="hit"|"miss"`` on the ``shard_compile`` span, whose duration — also
+reported as ``overhead_seconds["shard_compile"]`` — is the build on a miss
+and the lookup on a hit.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -85,9 +94,10 @@ from repro.tcu.spec import GPUSpec, MultiDeviceSpec
 from repro.util.parallel import default_workers, parallel_map
 from repro.util.validation import require, require_positive_int
 
-__all__ = ["ShardedExecutor", "ShardedRunResult", "HaloRoundModel",
-           "model_round", "model_schedule", "window_plan_seconds",
-           "window_request", "build_shard_phases", "run_shard_phase"]
+__all__ = ["ShardedExecutor", "ShardedRunner", "ShardedRunResult",
+           "ShardGeometry", "ShardLayout", "Round", "RoundSchedule",
+           "RoundBill", "price_schedule", "window_request",
+           "build_shard_phases", "run_shard_phase"]
 
 
 def window_request(compiled: CompiledStencil, device, shape: Tuple[int, ...]):
@@ -111,42 +121,6 @@ def window_request(compiled: CompiledStencil, device, shape: Tuple[int, ...]):
         boundary=compiled.boundary,
         backend=compiled.backend,
     )
-
-
-def window_plan_seconds(compiled: CompiledStencil, spec: MultiDeviceSpec,
-                        partition: GridPartition, cache=None,
-                        max_workers: Optional[int] = None
-                        ) -> List[List[float]]:
-    """Per-``(shard, mult)`` modelled sweep seconds from each window's own
-    compiled roofline estimate.
-
-    This is exactly what the executor bills per window sweep
-    (``max(t_compute, t_memory)`` of the window plan), so feeding the
-    result into :func:`model_round` makes the analytic round prediction
-    match the measured modelled timeline instead of assuming compute scales
-    linearly with window cells.  Plans go through ``cache`` — share the
-    executor's cache and the later run compiles nothing new.
-    """
-    from repro.service.cache import CompileCache
-
-    if cache is None:
-        cache = CompileCache(
-            capacity=max(8, partition.n_shards * partition.halo_depth))
-    shapes = [[tuple(s.stop - s.start for s in partition.window(shard, mult))
-               for mult in range(partition.halo_depth)]
-              for shard in partition.shards]
-    distinct = {}
-    for rows in shapes:
-        for shape in rows:
-            request = window_request(compiled, spec.device, shape)
-            distinct.setdefault(shape, request)
-    parallel_map(cache.get_or_compile, list(distinct.values()),
-                 max_workers=max_workers)
-    seconds = {
-        shape: cache.get_or_compile(request).plan.estimate.t_total
-        for shape, request in distinct.items()
-    }
-    return [[seconds[shape] for shape in rows] for rows in shapes]
 
 
 @dataclass(frozen=True)
@@ -226,20 +200,8 @@ class _ShardPhase:
     window: Tuple[slice, ...]
     writeback: Tuple[slice, ...]
     whole: bool                 #: window covers the entire local array
-    out_cells: int              #: outputs this window computes
     dram_bytes: float           #: modelled DRAM traffic of one sweep
-
-
-def _interior_cells(partition: GridPartition, shard) -> int:
-    """Owned cells no freshly exchanged ghost value can reach in one sweep
-    (the overlap's interior phase — everything else is rim)."""
-    faces = partition.exchanged_faces(shard)
-    radius = partition.radius
-    cells = 1
-    for axis, extent in enumerate(shard.out_shape):
-        trim = sum(radius for f in faces if f[0] == axis)
-        cells *= max(0, extent - trim)
-    return cells
+    seconds: float              #: modelled sweep time of the window plan
 
 
 def build_shard_phases(compiled: CompiledStencil, spec: MultiDeviceSpec,
@@ -289,17 +251,17 @@ def build_shard_phases(compiled: CompiledStencil, spec: MultiDeviceSpec,
         for mult, (window, shape, whole) in enumerate(rows):
             plan = cache.get_or_compile(request_for(shape))
             context = prepare_sweep(plan, spec.device)
-            traffic = plan.plan.estimate.traffic
+            estimate = plan.plan.estimate
+            traffic = estimate.traffic
             shard_rows.append(_ShardPhase(
                 context=context,
                 window=window,
                 writeback=partition.window_writeback(shard, mult),
                 whole=whole,
-                out_cells=math.prod(
-                    partition.window_out_shape(shard, mult)),
                 dram_bytes=float(traffic.global_bytes
                                  + traffic.metadata_bytes
                                  + traffic.lut_bytes),
+                seconds=estimate.t_total,
             ))
         phases.append(shard_rows)
     return phases
@@ -324,13 +286,241 @@ def run_shard_phase(phase: _ShardPhase, local: np.ndarray,
     return result
 
 
+# --------------------------------------------------------------------- #
+# the round schedule and its billing
+# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class ShardGeometry:
+    """The per-shard quantities a round's cost depends on, derived once from
+    (partition, cluster, itemsize)."""
+
+    halo_seconds: Tuple[float, ...]     #: modelled receive time per shard
+    #: owned cells no freshly exchanged ghost value can reach in one sweep
+    #: (the overlap's interior phase — everything else is rim)
+    interior_cells: Tuple[int, ...]
+    owned_cells: Tuple[int, ...]
+    #: computed cells of each ``[shard][window mult]`` sweep window
+    window_cells: Tuple[Tuple[int, ...], ...]
+
+    @classmethod
+    def build(cls, partition: GridPartition, spec: MultiDeviceSpec,
+              itemsize: int) -> "ShardGeometry":
+        # a single shard refreshes its faces locally and crosses no link
+        halo_seconds = tuple(
+            spec.exchange_seconds(elements * itemsize, messages)
+            for elements, messages in zip(
+                partition.received_elements_per_shard(),
+                partition.messages_per_shard())
+        ) if partition.n_shards > 1 else (0.0,)
+        radius = partition.radius
+        interior = []
+        for shard in partition.shards:
+            faces = partition.exchanged_faces(shard)
+            cells = 1
+            for axis, extent in enumerate(shard.out_shape):
+                trim = sum(radius for f in faces if f[0] == axis)
+                cells *= max(0, extent - trim)
+            interior.append(cells)
+        return cls(
+            halo_seconds=halo_seconds,
+            interior_cells=tuple(interior),
+            owned_cells=tuple(math.prod(shard.out_shape)
+                              for shard in partition.shards),
+            window_cells=tuple(
+                tuple(math.prod(partition.window_out_shape(shard, mult))
+                      for mult in range(partition.halo_depth))
+                for shard in partition.shards),
+        )
+
+    @property
+    def n_shards(self) -> int:
+        return len(self.owned_cells)
+
+    @property
+    def out_cells(self) -> int:
+        """Output cells of the whole grid (the shards tile it)."""
+        return sum(self.owned_cells)
+
+    @property
+    def halo_seconds_per_exchange(self) -> float:
+        """One exchange on the critical path: the slowest shard's receive."""
+        return max(self.halo_seconds)
+
+    def linear_seconds(self, sweep_seconds: float
+                       ) -> List[List[float]]:
+        """Compile-free ``[shard][mult]`` window seconds: the full-grid
+        sweep time scaled by each window's share of the output cells."""
+        out_cells = self.out_cells
+        return [[sweep_seconds * cells / out_cells for cells in row]
+                for row in self.window_cells]
+
+
+class Round(NamedTuple):
+    """One round of a :class:`RoundSchedule`.  A kernel's one stage is
+    named ``""``."""
+
+    exchange: bool                          #: a halo exchange opens it
+    sweeps: Tuple[Tuple[str, int], ...]     #: ``(stage, window mult)``
+    step: int = 0                           #: program step (0 for kernels)
+
+
+def _round_sweeps(stages: Sequence[str]) -> Tuple[Tuple[str, int], ...]:
+    """Stage ``j`` of a span-``k`` round sweeps window ``mult = k-1-j``."""
+    span = len(stages)
+    return tuple((stage, span - 1 - j) for j, stage in enumerate(stages))
+
+
+@dataclass(frozen=True)
+class RoundSchedule:
+    """The rounds of a sharded run, in execution order.
+
+    Build one with :meth:`kernel`, :meth:`program` or :meth:`steady_state`;
+    the constructors are memoized, so a warm run reuses its schedule.
+    """
+
+    rounds: Tuple[Round, ...]
+
+    @property
+    def sweeps(self) -> int:
+        return sum(len(r.sweeps) for r in self.rounds)
+
+    @classmethod
+    @functools.lru_cache(maxsize=256)
+    def kernel(cls, sweeps: int, halo_depth: int) -> "RoundSchedule":
+        """A kernel's ``sweeps`` in rounds of up to ``halo_depth``.  The
+        first round reads the initial extraction and needs no exchange;
+        nothing reads halos after the final sweep, so the last round may
+        be partial and no exchange follows it."""
+        return cls(tuple(
+            Round(start > 0,
+                  _round_sweeps([""] * min(halo_depth, sweeps - start)))
+            for start in range(0, sweeps, halo_depth)))
+
+    @classmethod
+    @functools.lru_cache(maxsize=256)
+    def program(cls, groups: Tuple[Tuple[str, ...], ...],
+                steps: int) -> "RoundSchedule":
+        """``steps`` program steps of one round per fusion group; only the
+        run's very first round skips the exchange."""
+        return cls(tuple(
+            Round(step > 0 or index > 0, _round_sweeps(group), step)
+            for step in range(steps) for index, group in enumerate(groups)))
+
+    @classmethod
+    @functools.lru_cache(maxsize=64)
+    def steady_state(cls, halo_depth: int) -> "RoundSchedule":
+        """One amortised round of a long run: an exchange, then
+        ``halo_depth`` sweeps on shrinking windows."""
+        return cls((Round(True, _round_sweeps([""] * halo_depth)),))
+
+
+@dataclass
+class RoundBill:
+    """Modelled cost of a round schedule, accumulated sweep by sweep.
+
+    :meth:`exchange` and :meth:`sweep` are the whole billing rule.  After an
+    exchange, the next sweep costs ``max(interior, halo) + rim`` per shard
+    with overlap (the exchange rides under the interior phase), or the
+    slowest shard plus one exchange without; every other sweep costs its
+    slowest shard.
+    """
+
+    geometry: ShardGeometry
+    overlap: bool = True
+    wall_seconds: float = 0.0       #: critical path, exposed exchanges in
+    compute_seconds: float = 0.0    #: critical path of the sweeps alone
+    exposed_seconds: float = 0.0    #: exchange time overlap could not hide
+    halo_seconds: float = 0.0       #: interconnect time of every exchange
+    exchange_count: int = 0
+    redundant_cells: int = 0        #: ghost-zone cells computed redundantly
+    sweeps: int = 0
+    _pending: bool = field(default=False, init=False, repr=False)
+
+    def exchange(self) -> bool:
+        """Bill one halo exchange.  A single shard crosses no link, so
+        nothing is billed and ``False`` is returned."""
+        if self.geometry.n_shards <= 1:
+            return False
+        self.exchange_count += 1
+        self.halo_seconds += self.geometry.halo_seconds_per_exchange
+        self._pending = True
+        return True
+
+    def sweep(self, seconds: Sequence[float], mult: int) -> Optional[float]:
+        """Bill one sweep from its per-shard ``seconds`` on window ``mult``;
+        returns the exposed exchange time when an exchange preceded it."""
+        geometry = self.geometry
+        slowest = max(seconds)
+        self.sweeps += 1
+        self.compute_seconds += slowest
+        self.redundant_cells += sum(
+            cells[mult] for cells in geometry.window_cells
+        ) - geometry.out_cells
+        if not self._pending:
+            self.wall_seconds += slowest
+            return None
+        self._pending = False
+        if self.overlap:
+            step_wall = 0.0
+            for i, shard_seconds in enumerate(seconds):
+                cells = geometry.window_cells[i][mult]
+                share = min(geometry.interior_cells[i], cells) / cells \
+                    if cells > 0 else 0.0
+                interior = shard_seconds * share
+                step_wall = max(step_wall,
+                                max(interior, geometry.halo_seconds[i])
+                                + (shard_seconds - interior))
+            exposure = step_wall - slowest
+        else:
+            exposure = geometry.halo_seconds_per_exchange
+            step_wall = slowest + exposure
+        self.wall_seconds += step_wall
+        self.exposed_seconds += exposure
+        return exposure
+
+    @property
+    def per_sweep_seconds(self) -> float:
+        return self.wall_seconds / self.sweeps if self.sweeps else 0.0
+
+    @property
+    def halo_fraction(self) -> float:
+        """Exposed share of the wall time."""
+        return self.exposed_seconds / self.wall_seconds \
+            if self.wall_seconds > 0 else 0.0
+
+    @property
+    def redundant_fraction(self) -> float:
+        """Redundant updates over useful updates."""
+        useful = self.sweeps * self.geometry.out_cells
+        return self.redundant_cells / useful if useful else 0.0
+
+
+def price_schedule(schedule: RoundSchedule, geometry: ShardGeometry,
+                   seconds: Mapping[str, Sequence[Sequence[float]]],
+                   overlap: bool = True) -> RoundBill:
+    """Walk ``schedule`` and bill each sweep from ``seconds[stage][shard]
+    [mult]`` — :meth:`ShardGeometry.linear_seconds` for the compile-free
+    estimate, :meth:`ShardLayout.window_seconds` for exactly what a run of
+    that layout bills."""
+    bill = RoundBill(geometry, overlap)
+    for round_ in schedule.rounds:
+        if round_.exchange:
+            bill.exchange()
+        for stage, mult in round_.sweeps:
+            bill.sweep([row[mult] for row in seconds[stage]], mult)
+    return bill
+
+
+# --------------------------------------------------------------------- #
+# layouts
+# --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ShardLayout:
     """Everything a sharded run derives from (plan, cluster, policy) alone.
 
-    Built by :func:`build_layout` on a memo miss and shared read-only by
-    every later run with the same layout key, including concurrent ones.
-    The partition keeps its precomputed exchange ops from run to run.
+    Built on a memo miss and shared read-only by every later run with the
+    same layout key, including concurrent ones.  The partition keeps its
+    precomputed exchange ops from run to run.
     """
 
     partition: GridPartition
@@ -340,34 +530,13 @@ class ShardLayout:
     #: per-stage ``[shard][window mult]`` phase tables; a kernel's one
     #: stage is keyed ``""``
     phases: Dict[str, List[List[_ShardPhase]]]
-    shard_halo_seconds: Tuple[float, ...]   #: modelled receive time per shard
-    halo_seconds_per_exchange: float        #: the slowest shard's
-    interior_cells: Tuple[int, ...]         #: see :func:`_interior_cells`
-    owned_cells: Tuple[int, ...]
+    geometry: ShardGeometry
 
-
-def build_layout(partition: GridPartition,
-                 phases: Dict[str, List[List[_ShardPhase]]],
-                 spec: MultiDeviceSpec, itemsize: int,
-                 groups: Tuple[Tuple[str, ...], ...] = ()) -> ShardLayout:
-    """Derive the halo and cell counts of ``partition`` and bundle them with
-    the phase tables into one :class:`ShardLayout`."""
-    shard_halo_seconds = tuple(
-        spec.exchange_seconds(elements * itemsize, messages)
-        for elements, messages in zip(partition.received_elements_per_shard(),
-                                      partition.messages_per_shard())
-    ) if partition.n_shards > 1 else (0.0,)
-    return ShardLayout(
-        partition=partition,
-        groups=groups,
-        phases=phases,
-        shard_halo_seconds=shard_halo_seconds,
-        halo_seconds_per_exchange=max(shard_halo_seconds),
-        interior_cells=tuple(_interior_cells(partition, shard)
-                             for shard in partition.shards),
-        owned_cells=tuple(math.prod(shard.out_shape)
-                          for shard in partition.shards),
-    )
+    def window_seconds(self) -> Dict[str, List[List[float]]]:
+        """Per-stage ``[shard][mult]`` modelled seconds of each window plan
+        — what a run of this layout bills per window sweep."""
+        return {stage: [[phase.seconds for phase in row] for row in table]
+                for stage, table in self.phases.items()}
 
 
 def device_key(device: GPUSpec) -> Tuple[Any, ...]:
@@ -385,223 +554,267 @@ _LAYOUT_COUNTERS = {
 }
 
 
-def fetch_layout(cache, key: Tuple[Any, ...],
-                 build: Callable[[], ShardLayout],
-                 **span_attrs: Any) -> Tuple[ShardLayout, float]:
-    """The layout for ``key`` from ``cache``'s layout memo (``build()`` on a
-    miss; every time when ``cache`` is ``None``), plus the host seconds the
-    lookup or build took.
-
-    Counts the outcome in the global metrics registry and records the
-    ``shard_compile`` span, tagged ``memo="hit"|"miss"``, under the ambient
-    span.
-    """
-    start = time.perf_counter()
-    if cache is None:
-        layout, hit = build(), False
-    else:
-        layout, hit = cache.shard_layout(key, build)
-    end = time.perf_counter()
-    memo = "hit" if hit else "miss"
-    global_registry().counter(*_LAYOUT_COUNTERS[memo]).inc()
-    trace = current_span()
-    if trace is not None:
-        trace.tracer.record("shard_compile", start, end, parent=trace,
-                            memo=memo, shards=layout.partition.n_shards,
-                            halo_depth=layout.partition.halo_depth,
-                            **span_attrs)
-    return layout, end - start
-
-
-@dataclass(frozen=True)
-class HaloRoundModel:
-    """Modelled cost of one steady-state round (exchange + ``k`` sweeps).
-
-    Shared by the :class:`repro.server.scheduler.DevicePoolScheduler`
-    routing estimate and the deep-halo tradeoff analysis in
-    :mod:`repro.analysis.scaling`, so the router and the analyst price a
-    round identically.
+# --------------------------------------------------------------------- #
+# the runners
+# --------------------------------------------------------------------- #
+class ShardedRunner:
+    """What :class:`ShardedExecutor` and
+    :class:`repro.programs.ShardedProgramRunner` share: the cluster, the
+    shard grid, the compile cache that memoizes their layouts, and the
+    overlap model.  A subclass says how to key and build the layout of its
+    workload (a compiled kernel or a program plan) and which device a bare
+    device count clusters; ``execute`` runs that layout through
+    :meth:`_run_schedule`.
     """
 
-    halo_depth: int
-    round_seconds: float        #: exchange + k sweeps on the critical path
-    per_sweep_seconds: float    #: ``round_seconds / k`` (the routing cost)
-    compute_seconds: float      #: critical-path compute of the k sweeps
-    halo_seconds: float         #: modelled interconnect time of one exchange
-    exposed_seconds: float      #: exchange time the overlap could not hide
-    halo_fraction: float        #: ``exposed / round`` — wall-time exposure
-    redundant_fraction: float   #: redundant updates / useful updates
+    def __init__(self, spec: Union[MultiDeviceSpec, int],
+                 shard_grid: Optional[Sequence[int]], cache,
+                 max_workers: Optional[int], overlap: bool) -> None:
+        if isinstance(spec, (int, np.integer)):
+            # resolved against the workload's device at execute time, so an
+            # integer count clusters whatever device the workload targets
+            self._device_count = int(spec)
+            require_positive_int(self._device_count, "device count")
+            self.spec: Optional[MultiDeviceSpec] = None
+        else:
+            require(isinstance(spec, MultiDeviceSpec),
+                    f"spec must be a MultiDeviceSpec or a device count, "
+                    f"got {type(spec).__name__}")
+            self.spec = spec
+            self._device_count = spec.device_count
+        self.shard_grid = None if shard_grid is None else tuple(
+            int(c) for c in shard_grid)
+        self.cache = cache
+        self.max_workers = max_workers
+        self.overlap = bool(overlap)
+
+    def _cluster(self, device: GPUSpec) -> MultiDeviceSpec:
+        """The configured :class:`MultiDeviceSpec`, or — when built from a
+        bare device count — that many copies of ``device``."""
+        if self.spec is not None:
+            return self.spec
+        return MultiDeviceSpec(device=device, device_count=self._device_count)
+
+    def _check_fits(self, partition: GridPartition) -> GridPartition:
+        require(partition.n_shards <= self._device_count,
+                f"{partition.n_shards} shards need more than the "
+                f"{self._device_count} available devices")
+        return partition
+
+    def _lookup(self, work: Any, spec: MultiDeviceSpec
+                ) -> Tuple[ShardLayout, bool]:
+        build = functools.partial(self._build_layout, work, spec)
+        if self.cache is None:
+            return build(), False
+        return self.cache.shard_layout(self._layout_key(work, spec), build)
+
+    def layout(self, work: Any) -> ShardLayout:
+        """The layout a run of ``work`` executes on: read from the cache's
+        layout memo (built and memoized on a miss), or built afresh without
+        a cache.  Its :meth:`ShardLayout.window_seconds`, priced over the
+        run's :class:`RoundSchedule`, is exactly what the run bills."""
+        return self._lookup(work, self.resolve_spec(work))[0]
+
+    def _fetch_layout(self, work: Any, **span_attrs: Any
+                      ) -> Tuple[MultiDeviceSpec, ShardLayout, float]:
+        """The cluster and layout a run of ``work`` executes on, plus the
+        host seconds the layout lookup (or build, on a miss) took.
+
+        Counts the outcome in the global metrics registry and records the
+        ``shard_compile`` span, tagged ``memo="hit"|"miss"``, under the
+        ambient span.
+        """
+        spec = self.resolve_spec(work)
+        start = time.perf_counter()
+        layout, hit = self._lookup(work, spec)
+        end = time.perf_counter()
+        memo = "hit" if hit else "miss"
+        global_registry().counter(*_LAYOUT_COUNTERS[memo]).inc()
+        trace = current_span()
+        if trace is not None:
+            trace.tracer.record("shard_compile", start, end, parent=trace,
+                                memo=memo, shards=layout.partition.n_shards,
+                                halo_depth=layout.partition.halo_depth,
+                                **span_attrs)
+        return spec, layout, end - start
+
+    def _run_schedule(self, layout: ShardLayout, schedule: RoundSchedule,
+                      data: np.ndarray, itemsize: int,
+                      throughput: Callable[[float], Tuple[float, float]], *,
+                      step_attrs: Optional[Dict[str, Any]] = None,
+                      redundant_scale: int = 1,
+                      **fields: Any) -> ShardedRunResult:
+        """Execute ``schedule`` over ``layout`` from the global array
+        ``data``: the one round loop of sharded execution.
+
+        Each round opens with its halo exchange (when it has one), then
+        sweeps every shard on the round's windows, billing each sweep
+        through :class:`RoundBill` from the shards' launch seconds.  Records
+        ``round`` spans with their ``halo_exchange``, ``sweep`` and
+        ``overlap_exposed`` children under the ambient span; with
+        ``step_attrs`` (a program run), rounds nest under one
+        ``program_step`` span per step carrying those attributes.
+        ``throughput(elapsed)`` gives the run's ``(GStencil/s, GFlops/s)``
+        and ``fields`` the result fields only the caller knows.
+        """
+        partition = layout.partition
+        radius = partition.radius
+        n_shards = partition.n_shards
+        bill = RoundBill(layout.geometry, self.overlap)
+        halo_seconds = layout.geometry.halo_seconds_per_exchange
+        # One ambient-context check up front: round/exchange/sweep spans are
+        # recorded on this (round-loop) thread, which carries the trace
+        # context — the shard pool threads never need it.
+        trace = current_span()
+        tracer = trace.tracer if trace is not None else None
+
+        # the initial halo ring is derived state under periodic/reflect —
+        # fill it exactly like the single-device executor before extracting
+        # the shard slabs, which then stay resident for the whole run;
+        # Dirichlet reads the grid as-is (extract and assemble both copy, so
+        # no mutation escapes either way)
+        if partition.boundary == "dirichlet":
+            base = data
+        else:
+            base = apply_boundary(data.copy(), radius, partition.boundary)
+        locals_ = partition.extract(base)
+        shard_launches: List[List[LaunchResult]] = [
+            [] for _ in range(n_shards)]
+        compute_crit = memory_crit = halo_bytes = dram_bytes = 0.0
+
+        # one pool for the whole run — per-sweep pool churn would dominate
+        # at small shard sizes
+        workers = self.max_workers if self.max_workers is not None \
+            else default_workers(n_shards)
+        pool = ThreadPoolExecutor(max_workers=workers) \
+            if workers > 1 and n_shards > 1 else None
+        shard_map = pool.map if pool is not None else map
+
+        def sweep_shard(phase: _ShardPhase, local: np.ndarray) -> LaunchResult:
+            return run_shard_phase(phase, local, radius)
+
+        sweep_index = 0
+        steps = itertools.groupby(schedule.rounds, key=lambda r: r.step)
+        with pool or contextlib.nullcontext():
+            for step, rounds in steps:
+                step_span = tracer.begin(
+                    "program_step", parent=trace, step=step, **step_attrs,
+                ) if tracer is not None and step_attrs is not None else None
+                step_wall_before = bill.wall_seconds
+                for round_index, round_ in enumerate(rounds):
+                    round_span = None
+                    round_wall_before = bill.wall_seconds
+                    if tracer is not None:
+                        attrs: Dict[str, Any] = {}
+                        if step_attrs is not None:
+                            attrs["stages"] = [s for s, _ in round_.sweeps]
+                        round_span = tracer.begin(
+                            "round", parent=step_span or trace,
+                            round=round_index,
+                            sweeps_in_round=len(round_.sweeps), **attrs)
+                    if round_.exchange:
+                        # one exchange validates the whole round.  A single
+                        # shard still refreshes its local faces (reflect
+                        # mirrors, periodic self-wraps) but crosses no
+                        # link, so nothing is billed or counted
+                        exchange_start = time.perf_counter()
+                        exchanged = partition.exchange_halos(locals_)
+                        if bill.exchange():
+                            halo_bytes += exchanged * itemsize
+                            if tracer is not None:
+                                tracer.record(
+                                    "halo_exchange", exchange_start,
+                                    time.perf_counter(), parent=round_span,
+                                    device_seconds=halo_seconds,
+                                    bytes=exchanged * itemsize,
+                                    overlap=self.overlap)
+                    for j, (stage, mult) in enumerate(round_.sweeps):
+                        if j > 0:
+                            # exchanged faces live off redundant compute
+                            # inside a round, but reflect mirrors and
+                            # periodic self-wraps are refreshed every
+                            # sweep, like apply_boundary
+                            partition.refresh_local_boundaries(locals_)
+                        table = layout.phases[stage]
+                        sweep_start = time.perf_counter()
+                        results = list(shard_map(
+                            sweep_shard, [p[mult] for p in table], locals_))
+                        sweep_end = time.perf_counter()
+                        for launches, result in zip(shard_launches, results):
+                            launches.append(result)
+                        elapsed = [r.elapsed_seconds for r in results]
+                        compute_crit += max(r.compute_seconds
+                                            for r in results)
+                        memory_crit += max(r.memory_seconds for r in results)
+                        dram_bytes += sum(p[mult].dram_bytes for p in table)
+                        exposure = bill.sweep(elapsed, mult)
+                        if tracer is not None:
+                            attrs = {"sweep": sweep_index}
+                            if step_attrs is not None:
+                                attrs["stage"] = stage
+                            tracer.record("sweep", sweep_start, sweep_end,
+                                          parent=round_span,
+                                          device_seconds=max(elapsed),
+                                          window_mult=mult, **attrs)
+                            if exposure is not None:
+                                # modelled, not a measured interval: zero
+                                # host wall, the exposed time rides in
+                                # device_seconds
+                                tracer.record(
+                                    "overlap_exposed", sweep_end, sweep_end,
+                                    parent=round_span,
+                                    device_seconds=exposure,
+                                    sweep=sweep_index, overlap=self.overlap)
+                        sweep_index += 1
+                    if round_span is not None:
+                        round_span.add_device_seconds(
+                            bill.wall_seconds - round_wall_before)
+                        tracer.end(round_span)
+                if step_span is not None:
+                    step_span.add_device_seconds(
+                        bill.wall_seconds - step_wall_before)
+                    tracer.end(step_span)
+
+        output = partition.assemble(locals_, base)
+        # under periodic/reflect the single-device executor refreshes the
+        # halo ring after the final sweep too; the fill is a pure function
+        # of the interior, so applying it to the assembled output lands on
+        # the bit-identical ring (no-op under Dirichlet)
+        apply_boundary(output, radius, partition.boundary)
+
+        shard_totals = [summarize_launches(launches)
+                        for launches in shard_launches]
+        all_launches = [r for launches in shard_launches for r in launches]
+        gstencil, gflops = throughput(bill.wall_seconds)
+        return ShardedRunResult(
+            output=output,
+            elapsed_seconds=bill.wall_seconds,
+            compute_seconds=compute_crit,
+            memory_seconds=memory_crit,
+            gstencil_per_second=gstencil,
+            gflops_per_second=gflops,
+            utilization=combine_utilization(
+                [r.utilization for r in all_launches],
+                [r.elapsed_seconds for r in all_launches]),
+            leftover_sweeps=0,
+            shard_grid=partition.shard_grid,
+            shard_elapsed_seconds=tuple(t.elapsed_seconds
+                                        for t in shard_totals),
+            shard_utilization=tuple(t.utilization for t in shard_totals),
+            halo_exchange_bytes=halo_bytes,
+            halo_exchange_seconds=bill.halo_seconds,
+            halo_exposed_seconds=bill.exposed_seconds,
+            halo_exchange_count=bill.exchange_count,
+            halo_depth=partition.halo_depth,
+            overlap=self.overlap,
+            redundant_points_updated=float(bill.redundant_cells)
+            * redundant_scale,
+            device_traffic_bytes=dram_bytes,
+            **fields,
+        )
 
 
-def model_round(partition: GridPartition, spec: MultiDeviceSpec,
-                itemsize: int, sweep_seconds: float,
-                overlap: bool = True,
-                window_seconds: Optional[Sequence[Sequence[float]]] = None
-                ) -> HaloRoundModel:
-    """Price one steady-state round of the communication-avoiding schedule.
-
-    ``sweep_seconds`` is the modelled single-device full-grid sweep time;
-    shard compute scales by its window's share of the global output cells.
-    ``window_seconds`` optionally replaces that linear scaling with exact
-    per-``(shard, mult)`` sweep times (from each window's own compiled
-    roofline — see :func:`window_plan_seconds`); the routing scheduler
-    stays on the compile-free linear model.  The first sweep of a round
-    overlaps with the exchange (``max(interior, halo) + rim`` per shard);
-    the remaining ``k-1`` sweeps are pure compute on shrinking windows.
-    """
-    k = partition.halo_depth
-    out_cells = 1
-    for extent in partition.grid_shape:
-        out_cells *= extent - 2 * partition.radius
-    if partition.n_shards <= 1:
-        total = sweep_seconds * k
-        return HaloRoundModel(halo_depth=k, round_seconds=total,
-                              per_sweep_seconds=sweep_seconds,
-                              compute_seconds=total, halo_seconds=0.0,
-                              exposed_seconds=0.0, halo_fraction=0.0,
-                              redundant_fraction=0.0)
-
-    recv_elements = partition.received_elements_per_shard()
-    recv_messages = partition.messages_per_shard()
-    halos = [spec.exchange_seconds(elements * itemsize, messages)
-             for elements, messages in zip(recv_elements, recv_messages)]
-    halo = max(halos)
-
-    window_cells = [[math.prod(partition.window_out_shape(shard, mult))
-                     for mult in range(k)] for shard in partition.shards]
-    interior = [_interior_cells(partition, shard)
-                for shard in partition.shards]
-
-    def compute(i: int, mult: int) -> float:
-        if window_seconds is not None:
-            return window_seconds[i][mult]
-        return sweep_seconds * window_cells[i][mult] / out_cells
-
-    first_mult = k - 1
-    compute_first = max(compute(i, first_mult)
-                        for i in range(partition.n_shards))
-    if overlap:
-        first_sweep = 0.0
-        for i, cells in enumerate(window_cells):
-            total = cells[first_mult]
-            seconds = compute(i, first_mult)
-            interior_sec = seconds * min(interior[i], total) / total \
-                if total > 0 else 0.0
-            rim_sec = seconds - interior_sec
-            first_sweep = max(first_sweep,
-                              max(interior_sec, halos[i]) + rim_sec)
-    else:
-        first_sweep = halo + compute_first
-
-    rest = sum(max(compute(i, mult) for i in range(partition.n_shards))
-               for mult in range(k - 2, -1, -1))
-    round_seconds = first_sweep + rest
-    compute_seconds = compute_first + rest
-    redundant = sum(sum(cells) for cells in window_cells) - k * out_cells
-    return HaloRoundModel(
-        halo_depth=k,
-        round_seconds=round_seconds,
-        per_sweep_seconds=round_seconds / k,
-        compute_seconds=compute_seconds,
-        halo_seconds=halo,
-        exposed_seconds=round_seconds - compute_seconds,
-        halo_fraction=(round_seconds - compute_seconds) / round_seconds
-        if round_seconds > 0 else 0.0,
-        redundant_fraction=redundant / (k * out_cells),
-    )
-
-
-def model_schedule(partition: GridPartition, spec: MultiDeviceSpec,
-                   itemsize: int, sweeps: int, sweep_seconds: float,
-                   overlap: bool = True,
-                   window_seconds: Optional[Sequence[Sequence[float]]] = None
-                   ) -> HaloRoundModel:
-    """Price a *finite* run of ``sweeps`` sweeps, round by round.
-
-    :func:`model_round` amortises one steady-state round; this mirrors the
-    executor's actual billing loop instead — the first round skips the
-    exchange, the last round may be partial — so its ``per_sweep_seconds``
-    (wall over ``sweeps``) matches :attr:`ShardedRunResult.elapsed_seconds`
-    of a modelled run exactly when ``window_seconds`` comes from
-    :func:`window_plan_seconds`.  Use it to predict the measured-optimal
-    halo depth for a concrete iteration count.
-    """
-    require_positive_int(sweeps, "sweeps")
-    k = partition.halo_depth
-    out_cells = 1
-    for extent in partition.grid_shape:
-        out_cells *= extent - 2 * partition.radius
-    if partition.n_shards <= 1:
-        total = sweep_seconds * sweeps
-        return HaloRoundModel(halo_depth=k, round_seconds=total,
-                              per_sweep_seconds=sweep_seconds,
-                              compute_seconds=total, halo_seconds=0.0,
-                              exposed_seconds=0.0, halo_fraction=0.0,
-                              redundant_fraction=0.0)
-
-    recv_elements = partition.received_elements_per_shard()
-    recv_messages = partition.messages_per_shard()
-    halos = [spec.exchange_seconds(elements * itemsize, messages)
-             for elements, messages in zip(recv_elements, recv_messages)]
-    halo = max(halos)
-
-    window_cells = [[math.prod(partition.window_out_shape(shard, mult))
-                     for mult in range(k)] for shard in partition.shards]
-    interior = [_interior_cells(partition, shard)
-                for shard in partition.shards]
-
-    def compute(i: int, mult: int) -> float:
-        if window_seconds is not None:
-            return window_seconds[i][mult]
-        return sweep_seconds * window_cells[i][mult] / out_cells
-
-    wall = compute_seconds = exposed = 0.0
-    redundant = 0
-    sweep = 0
-    first_round = True
-    while sweep < sweeps:
-        span = min(k, sweeps - sweep)
-        after_exchange = not first_round
-        for j in range(span):
-            mult = span - 1 - j
-            step = [compute(i, mult) for i in range(partition.n_shards)]
-            compute_seconds += max(step)
-            redundant += sum(window_cells[i][mult]
-                             for i in range(partition.n_shards)) - out_cells
-            if after_exchange and overlap:
-                step_wall = 0.0
-                for i, seconds in enumerate(step):
-                    cells = window_cells[i][mult]
-                    share = min(interior[i], cells) / cells \
-                        if cells > 0 else 0.0
-                    interior_sec = seconds * share
-                    step_wall = max(step_wall,
-                                    max(interior_sec, halos[i])
-                                    + (seconds - interior_sec))
-                wall += step_wall
-                exposed += step_wall - max(step)
-            elif after_exchange:
-                wall += max(step) + halo
-                exposed += halo
-            else:
-                wall += max(step)
-            after_exchange = False
-        sweep += span
-        first_round = False
-    exchanges = max(0, -(-sweeps // k) - 1)
-    return HaloRoundModel(
-        halo_depth=k,
-        round_seconds=wall,
-        per_sweep_seconds=wall / sweeps,
-        compute_seconds=compute_seconds,
-        halo_seconds=halo * exchanges,
-        exposed_seconds=exposed,
-        halo_fraction=exposed / wall if wall > 0 else 0.0,
-        redundant_fraction=redundant / (sweeps * out_cells),
-    )
-
-
-class ShardedExecutor:
+class ShardedExecutor(ShardedRunner):
     """Run a compiled stencil sharded across ``spec.device_count`` devices.
 
     Parameters
@@ -636,25 +849,9 @@ class ShardedExecutor:
                  shard_grid: Optional[Sequence[int]] = None,
                  cache=None, max_workers: Optional[int] = None,
                  halo_depth: int = 1, overlap: bool = True) -> None:
-        if isinstance(spec, (int, np.integer)):
-            # resolved against the compiled plan's device at execute time, so
-            # an integer count clusters whatever device the workload targets
-            self._device_count = int(spec)
-            require_positive_int(self._device_count, "device count")
-            self.spec: Optional[MultiDeviceSpec] = None
-        else:
-            require(isinstance(spec, MultiDeviceSpec),
-                    f"spec must be a MultiDeviceSpec or a device count, "
-                    f"got {type(spec).__name__}")
-            self.spec = spec
-            self._device_count = spec.device_count
-        self.shard_grid = None if shard_grid is None else tuple(
-            int(c) for c in shard_grid)
-        self.cache = cache
-        self.max_workers = max_workers
+        super().__init__(spec, shard_grid, cache, max_workers, overlap)
         require_positive_int(halo_depth, "halo_depth")
         self.halo_depth = int(halo_depth)
-        self.overlap = bool(overlap)
 
     # ------------------------------------------------------------------ #
     # planning
@@ -663,10 +860,7 @@ class ShardedExecutor:
         """The cluster this run executes on: the configured
         :class:`MultiDeviceSpec`, or — when the executor was built from a
         bare device count — N copies of the *compiled plan's* device."""
-        if self.spec is not None:
-            return self.spec
-        return MultiDeviceSpec(device=compiled.spec,
-                               device_count=self._device_count)
+        return self._cluster(compiled.spec)
 
     def partition(self, compiled: CompiledStencil) -> GridPartition:
         """Tile the compiled grid, aligned to the plan's layout tiles.
@@ -685,13 +879,9 @@ class ShardedExecutor:
         depth = min(self.halo_depth, GridPartition.max_halo_depth(
             compiled.grid_shape, pattern.radius, shard_grid, align=config.r,
             boundary=compiled.boundary))
-        partition = GridPartition.build(
+        return self._check_fits(GridPartition.build(
             compiled.grid_shape, pattern.radius, shard_grid, align=config.r,
-            boundary=compiled.boundary, halo_depth=depth)
-        require(partition.n_shards <= self._device_count,
-                f"{partition.n_shards} shards need more than the "
-                f"{self._device_count} available devices")
-        return partition
+            boundary=compiled.boundary, halo_depth=depth))
 
     def _layout_key(self, compiled: CompiledStencil,
                     spec: MultiDeviceSpec) -> Tuple[Any, ...]:
@@ -714,8 +904,10 @@ class ShardedExecutor:
         phases = build_shard_phases(compiled, spec, partition,
                                     cache=self.cache,
                                     max_workers=self.max_workers)
-        return build_layout(partition, {"": phases}, spec,
-                            compiled.plan.dtype.itemsize)
+        return ShardLayout(
+            partition=partition, groups=(), phases={"": phases},
+            geometry=ShardGeometry.build(partition, spec,
+                                         compiled.plan.dtype.itemsize))
 
     # ------------------------------------------------------------------ #
     # execution
@@ -738,208 +930,18 @@ class ShardedExecutor:
                 f"(got {iterations}); run the leftover sweeps on the "
                 f"single-device executor")
 
-        spec = self.resolve_spec(compiled)
-        layout, shard_compile_seconds = fetch_layout(
-            self.cache, self._layout_key(compiled, spec),
-            lambda: self._build_layout(compiled, spec))
-        partition = layout.partition
-        phases = layout.phases[""]
-        depth = partition.halo_depth
-        radius = partition.radius
-        # One ambient-context check up front: round/exchange/sweep spans are
-        # recorded on this (round-loop) thread, which carries the trace
-        # context — the shard pool threads never need it.
-        trace = current_span()
-        tracer = trace.tracer if trace is not None else None
-
-        itemsize = compiled.plan.dtype.itemsize
-        shard_halo_seconds = layout.shard_halo_seconds
-        halo_seconds_per_exchange = layout.halo_seconds_per_exchange
-        interior_cells = layout.interior_cells
-        owned_cells = layout.owned_cells
-
-        # the initial halo ring is derived state under periodic/reflect —
-        # fill it exactly like the single-device executor before extracting
-        # the shard slabs; Dirichlet reads the grid as-is (extract and
-        # assemble both copy, so no mutation escapes either way)
-        if partition.boundary == "dirichlet":
-            base = grid.data
-        else:
-            base = apply_boundary(grid.data.copy(), radius,
-                                  partition.boundary)
-        locals_ = partition.extract(base)
-        shard_launches: List[List[LaunchResult]] = [[] for _ in phases]
-        wall = compute_crit = memory_crit = 0.0
-        halo_bytes = halo_seconds = exposed_seconds = dram_bytes = 0.0
-        exchange_count = 0
-        redundant_cells = 0
-
-        # one pool for the whole run — per-sweep pool churn would dominate
-        # at small shard sizes
-        workers = self.max_workers if self.max_workers is not None \
-            else default_workers(len(phases))
-        pool = ThreadPoolExecutor(max_workers=workers) \
-            if workers > 1 and len(phases) > 1 else None
-
-        def sweep_all(mult: int) -> List[LaunchResult]:
-            row = [shard_phases[mult] for shard_phases in phases]
-            if pool is not None:
-                return list(pool.map(
-                    lambda pair: run_shard_phase(pair[0], pair[1], radius),
-                    zip(row, locals_)))
-            return [run_shard_phase(phase, local, radius)
-                    for phase, local in zip(row, locals_)]
-
-        try:
-            sweep = 0
-            first_round = True
-            round_index = 0
-            while sweep < sweeps:
-                span = min(depth, sweeps - sweep)
-                after_exchange = False
-                round_span = None
-                round_wall_before = wall
-                if tracer is not None:
-                    round_span = tracer.begin("round", parent=trace,
-                                              round=round_index,
-                                              sweeps_in_round=span)
-                if not first_round:
-                    # one exchange validates the whole round; nothing reads
-                    # halos after the final sweep, so the last round's
-                    # exchange is neither performed nor billed.  A single
-                    # shard still refreshes its local faces (reflect
-                    # mirrors, periodic self-wraps) but crosses no link, so
-                    # nothing is counted
-                    exchange_start = time.perf_counter()
-                    exchanged = partition.exchange_halos(locals_)
-                    if partition.n_shards > 1:
-                        halo_bytes += exchanged * itemsize
-                        halo_seconds += halo_seconds_per_exchange
-                        exchange_count += 1
-                        after_exchange = True
-                        if tracer is not None:
-                            tracer.record(
-                                "halo_exchange", exchange_start,
-                                time.perf_counter(), parent=round_span,
-                                device_seconds=halo_seconds_per_exchange,
-                                bytes=exchanged * itemsize,
-                                overlap=self.overlap)
-                for j in range(span):
-                    mult = span - 1 - j
-                    if j > 0:
-                        # exchanged faces live off redundant compute inside a
-                        # round, but reflect mirrors and periodic self-wraps
-                        # are refreshed every sweep, like apply_boundary
-                        partition.refresh_local_boundaries(locals_)
-                    sweep_start = time.perf_counter()
-                    results = sweep_all(mult)
-                    sweep_end = time.perf_counter()
-                    for launches, result in zip(shard_launches, results):
-                        launches.append(result)
-                    elapsed = [r.elapsed_seconds for r in results]
-                    compute_crit += max(r.compute_seconds for r in results)
-                    memory_crit += max(r.memory_seconds for r in results)
-                    dram_bytes += sum(p[mult].dram_bytes for p in phases)
-                    redundant_cells += sum(
-                        p[mult].out_cells - owned
-                        for p, owned in zip(phases, owned_cells))
-                    if tracer is not None:
-                        tracer.record("sweep", sweep_start, sweep_end,
-                                      parent=round_span,
-                                      device_seconds=max(elapsed),
-                                      sweep=sweep + j, window_mult=mult)
-                    if after_exchange and self.overlap:
-                        # the exchange rides under the interior phase of the
-                        # first sweep it validates; only the overflow (and
-                        # the halo-dependent rim) extends the wall clock
-                        step_wall = 0.0
-                        for i, seconds in enumerate(elapsed):
-                            cells = phases[i][mult].out_cells
-                            share = min(interior_cells[i], cells) / cells \
-                                if cells > 0 else 0.0
-                            interior_sec = seconds * share
-                            step_wall = max(
-                                step_wall,
-                                max(interior_sec, shard_halo_seconds[i])
-                                + (seconds - interior_sec))
-                        wall += step_wall
-                        exposure = step_wall - max(elapsed)
-                        exposed_seconds += exposure
-                        if tracer is not None:
-                            # modelled quantity, not a measured interval —
-                            # zero host wall, the exposed time rides in
-                            # device_seconds
-                            tracer.record("overlap_exposed", sweep_end,
-                                          sweep_end, parent=round_span,
-                                          device_seconds=exposure,
-                                          sweep=sweep + j, overlap=True)
-                    elif after_exchange:
-                        wall += max(elapsed) + halo_seconds_per_exchange
-                        exposed_seconds += halo_seconds_per_exchange
-                        if tracer is not None:
-                            tracer.record("overlap_exposed", sweep_end,
-                                          sweep_end, parent=round_span,
-                                          device_seconds=(
-                                              halo_seconds_per_exchange),
-                                          sweep=sweep + j, overlap=False)
-                    else:
-                        wall += max(elapsed)
-                    after_exchange = False
-                sweep += span
-                first_round = False
-                round_index += 1
-                if tracer is not None and round_span is not None:
-                    round_span.add_device_seconds(wall - round_wall_before)
-                    tracer.end(round_span)
-        finally:
-            if pool is not None:
-                pool.shutdown()
-
-        output = partition.assemble(locals_, base)
-        # under periodic/reflect the single-device executor refreshes the
-        # halo ring after the final sweep too; the fill is a pure function
-        # of the interior, so applying it to the assembled output lands on
-        # the bit-identical ring (no-op under Dirichlet)
-        apply_boundary(output, radius, partition.boundary)
-
-        shard_totals = [summarize_launches(launches)
-                        for launches in shard_launches]
-        all_launches = [r for launches in shard_launches for r in launches]
-        overall = combine_utilization(
-            [r.utilization for r in all_launches],
-            [r.elapsed_seconds for r in all_launches])
-
+        spec, layout, shard_compile_seconds = self._fetch_layout(compiled)
         points = original_points(compiled, sweeps, 0)
-        elapsed = wall
-        gstencil, gflops = throughput_metrics(compiled, points, elapsed)
         overhead = dict(compiled.overhead_seconds)
         overhead["shard_compile"] = shard_compile_seconds
-
-        return ShardedRunResult(
-            output=output,
+        return self._run_schedule(
+            layout, RoundSchedule.kernel(sweeps, layout.partition.halo_depth),
+            grid.data, compiled.plan.dtype.itemsize,
+            functools.partial(throughput_metrics, compiled, points),
+            redundant_scale=compiled.temporal_fusion,
             iterations=iterations,
-            elapsed_seconds=elapsed,
-            compute_seconds=compute_crit,
-            memory_seconds=memory_crit,
-            gstencil_per_second=gstencil,
-            gflops_per_second=gflops,
-            utilization=overall,
             overhead_seconds=overhead,
             sweeps=sweeps,
-            leftover_sweeps=0,
             points_updated=points,
-            shard_grid=partition.shard_grid,
-            shard_elapsed_seconds=tuple(t.elapsed_seconds
-                                        for t in shard_totals),
-            shard_utilization=tuple(t.utilization for t in shard_totals),
-            halo_exchange_bytes=halo_bytes,
-            halo_exchange_seconds=halo_seconds,
-            halo_exposed_seconds=exposed_seconds,
-            halo_exchange_count=exchange_count,
-            halo_depth=depth,
-            overlap=self.overlap,
-            redundant_points_updated=float(redundant_cells)
-            * compiled.temporal_fusion,
-            device_traffic_bytes=dram_bytes,
             device_count=spec.device_count,
         )

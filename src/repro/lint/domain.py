@@ -4,8 +4,9 @@ Every rule here is *static*: it may resolve compile options and (through
 the session's cache) compile a plan — exactly what admission already does
 — but it never executes a sweep.  The analyzers re-use the repo's own
 models (:meth:`GridPartition.max_halo_depth`, :func:`plan_fusion`,
-:meth:`DevicePoolScheduler.decide`, ``plan.estimate``), so a diagnostic
-always agrees with what the executors would do at run time.
+:meth:`DevicePoolScheduler.decide`, :class:`ShardGeometry`,
+``plan.estimate``), so a diagnostic always agrees with what the executors
+would do at run time.
 
 Codes (all registered in :mod:`repro.lint.diagnostics`):
 
@@ -206,11 +207,12 @@ def _split_exchange_cost(radius: int, ndim: int,
                          spec: Optional[Any],
                          itemsize: int) -> Optional[float]:
     """Modelled seconds of the extra per-step halo exchange a fusion split
-    costs, priced with the same partition geometry and interconnect model
-    the sharded executor bills (best effort: ``None`` when the geometry is
-    unknown or infeasible)."""
+    costs: the slowest shard's receive in the
+    :class:`~repro.engine.sharded.ShardGeometry` the sharded executor bills
+    (best effort: ``None`` when the geometry is unknown or infeasible)."""
     if grid_shape is None or devices < 2:
         return None
+    from repro.engine.sharded import ShardGeometry
     from repro.stencils.partition import GridPartition
     from repro.tcu.spec import MultiDeviceSpec
     from repro.util.validation import ValidationError
@@ -222,11 +224,8 @@ def _split_exchange_cost(radius: int, ndim: int,
                                         boundary=boundary, halo_depth=1)
     except ValidationError:
         return None
-    elements = partition.received_elements_per_shard()
-    messages = partition.messages_per_shard()
-    costs = [spec.exchange_seconds(e * itemsize, m)
-             for e, m in zip(elements, messages)]
-    return max(costs) if costs else None
+    return ShardGeometry.build(partition, spec,
+                               itemsize).halo_seconds_per_exchange
 
 
 def lint_program(program: Any, *,

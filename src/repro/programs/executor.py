@@ -30,8 +30,13 @@ Two runners share the execution contract of
   the cluster device and link, the shard grid and ``fuse`` — and memoized on
   the runner's compile cache, so a warm run compiles and looks up nothing.
 
-:func:`model_program` prices both paths with the same arithmetic as
-:func:`repro.engine.sharded.model_schedule` (linear window-cell scaling of
+:class:`ShardedProgramRunner` executes through the same round loop as
+:class:`repro.engine.ShardedExecutor`
+(:meth:`repro.engine.sharded.ShardedRunner._run_schedule`), walking
+:meth:`~repro.engine.sharded.RoundSchedule.program` — ``steps`` times the
+fusion groups — under one ``program_step`` span per step.
+:func:`model_program` prices that same schedule with
+:func:`repro.engine.sharded.price_schedule` (linear window-cell scaling of
 each stage's full-grid roofline), so the
 :class:`repro.server.scheduler.DevicePoolScheduler` can route programs and
 the fusion benchmark can count modelled exchanges without executing.
@@ -41,7 +46,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -51,14 +55,14 @@ from repro.core.morphing import MorphConfig
 from repro.core.pipeline import StencilRunResult
 from repro.engine.base import prepare_sweep, run_sweep, summarize_launches
 from repro.engine.sharded import (
+    RoundSchedule,
+    ShardedRunner,
     ShardedRunResult,
+    ShardGeometry,
     ShardLayout,
-    _interior_cells,
-    build_layout,
     build_shard_phases,
     device_key,
-    fetch_layout,
-    run_shard_phase,
+    price_schedule,
 )
 from repro.obs.trace import current_span
 from repro.programs.compile import ProgramPlan
@@ -67,10 +71,8 @@ from repro.stencils.boundary import apply_boundary
 from repro.stencils.grid import Grid
 from repro.stencils.partition import GridPartition
 from repro.stencils.reference import stencil_points_updated
-from repro.tcu.counters import combine_utilization
 from repro.tcu.executor import LaunchResult
 from repro.tcu.spec import GPUSpec, MultiDeviceSpec
-from repro.util.parallel import default_workers
 from repro.util.validation import ValidationError, require, require_positive_int
 
 __all__ = [
@@ -266,7 +268,7 @@ def _program_partition(plan: ProgramPlan, shard_grid, fuse: bool
     return partition, groups
 
 
-class ShardedProgramRunner:
+class ShardedProgramRunner(ShardedRunner):
     """Run a compiled chain program sharded across multiple devices.
 
     Parameters mirror :class:`repro.engine.ShardedExecutor` (``spec`` may be
@@ -282,28 +284,11 @@ class ShardedProgramRunner:
                  shard_grid: Optional[Sequence[int]] = None,
                  cache=None, max_workers: Optional[int] = None,
                  fuse: bool = True, overlap: bool = True) -> None:
-        if isinstance(spec, (int, np.integer)):
-            self._device_count = int(spec)
-            require_positive_int(self._device_count, "device count")
-            self.spec: Optional[MultiDeviceSpec] = None
-        else:
-            require(isinstance(spec, MultiDeviceSpec),
-                    f"spec must be a MultiDeviceSpec or a device count, "
-                    f"got {type(spec).__name__}")
-            self.spec = spec
-            self._device_count = spec.device_count
-        self.shard_grid = None if shard_grid is None else tuple(
-            int(c) for c in shard_grid)
-        self.cache = cache
-        self.max_workers = max_workers
+        super().__init__(spec, shard_grid, cache, max_workers, overlap)
         self.fuse = bool(fuse)
-        self.overlap = bool(overlap)
 
     def resolve_spec(self, plan: ProgramPlan) -> MultiDeviceSpec:
-        if self.spec is not None:
-            return self.spec
-        return MultiDeviceSpec(device=plan.stages[0].compiled[0].spec,
-                               device_count=self._device_count)
+        return self._cluster(plan.stages[0].compiled[0].spec)
 
     def partition(self, plan: ProgramPlan
                   ) -> Tuple[GridPartition, Tuple[Tuple[str, ...], ...]]:
@@ -315,10 +300,7 @@ class ShardedProgramRunner:
         """
         if self.cache is None:
             return self._partition(plan)
-        spec = self.resolve_spec(plan)
-        layout, _ = self.cache.shard_layout(
-            self._layout_key(plan, spec),
-            lambda: self._build_layout(plan, spec))
+        layout = self.layout(plan)
         return layout.partition, layout.groups
 
     def _partition(self, plan: ProgramPlan
@@ -326,10 +308,7 @@ class ShardedProgramRunner:
         shard_grid = self.shard_grid if self.shard_grid is not None \
             else self._device_count
         partition, groups = _program_partition(plan, shard_grid, self.fuse)
-        require(partition.n_shards <= self._device_count,
-                f"{partition.n_shards} shards need more than the "
-                f"{self._device_count} available devices")
-        return partition, groups
+        return self._check_fits(partition), groups
 
     def _layout_key(self, plan: ProgramPlan,
                     spec: MultiDeviceSpec) -> Tuple[Any, ...]:
@@ -361,205 +340,29 @@ class ShardedProgramRunner:
                                             max_workers=self.max_workers)
             for cstage in plan.stages
         }
-        return build_layout(partition, phases, spec, plan.dtype.itemsize,
-                            groups)
+        return ShardLayout(
+            partition=partition, groups=groups, phases=phases,
+            geometry=ShardGeometry.build(partition, spec,
+                                         plan.dtype.itemsize))
 
     def execute(self, plan: ProgramPlan, grid: Grid,
                 steps: int) -> ShardedRunResult:
         _check_run(plan, grid, steps)
-        spec = self.resolve_spec(plan)
-        layout, shard_compile_seconds = fetch_layout(
-            self.cache, self._layout_key(plan, spec),
-            lambda: self._build_layout(plan, spec), stages=plan.stage_count)
-        partition, groups, phases = \
-            layout.partition, layout.groups, layout.phases
-        depth = partition.halo_depth
-        radius = partition.radius
-
-        trace = current_span()
-        tracer = trace.tracer if trace is not None else None
-
-        itemsize = plan.dtype.itemsize
-        shard_halo_seconds = layout.shard_halo_seconds
-        halo_seconds_per_exchange = layout.halo_seconds_per_exchange
-        interior_cells = layout.interior_cells
-        owned_cells = layout.owned_cells
-
-        # fill the initial ring exactly like the single-device program
-        # runner's first tap fill, then extract the resident shard slabs —
-        # they stay live for the entire run, across stages and steps
-        if partition.boundary == "dirichlet":
-            base = grid.data
-        else:
-            base = apply_boundary(grid.data.copy(), radius,
-                                  partition.boundary)
-        locals_ = partition.extract(base)
-        n_shards = partition.n_shards
-        shard_launches: List[List[LaunchResult]] = [[] for _ in range(n_shards)]
-        wall = compute_crit = memory_crit = 0.0
-        halo_bytes = halo_seconds = exposed_seconds = dram_bytes = 0.0
-        exchange_count = 0
-        redundant_cells = 0
-
-        workers = self.max_workers if self.max_workers is not None \
-            else default_workers(n_shards)
-        pool = ThreadPoolExecutor(max_workers=workers) \
-            if workers > 1 and n_shards > 1 else None
-
-        def sweep_all(stage_name: str, mult: int) -> List[LaunchResult]:
-            row = [phases[stage_name][i][mult] for i in range(n_shards)]
-            if pool is not None:
-                return list(pool.map(
-                    lambda pair: run_shard_phase(pair[0], pair[1], radius),
-                    zip(row, locals_)))
-            return [run_shard_phase(phase, local, radius)
-                    for phase, local in zip(row, locals_)]
-
-        try:
-            first_round = True
-            sweep_index = 0
-            for step in range(steps):
-                step_span = tracer.begin(
-                    "program_step", parent=trace, step=step,
-                    program=plan.program.name, groups=len(groups),
-                ) if tracer is not None else None
-                step_wall_before = wall
-                for round_index, group in enumerate(groups):
-                    span = len(group)
-                    after_exchange = False
-                    round_span = None
-                    round_wall_before = wall
-                    if tracer is not None:
-                        round_span = tracer.begin(
-                            "round", parent=step_span, round=round_index,
-                            sweeps_in_round=span, stages=list(group))
-                    if not first_round:
-                        # one exchange validates the whole group; the very
-                        # first round reads the initial extraction and needs
-                        # none
-                        exchange_start = time.perf_counter()
-                        exchanged = partition.exchange_halos(locals_)
-                        if n_shards > 1:
-                            halo_bytes += exchanged * itemsize
-                            halo_seconds += halo_seconds_per_exchange
-                            exchange_count += 1
-                            after_exchange = True
-                            if tracer is not None:
-                                tracer.record(
-                                    "halo_exchange", exchange_start,
-                                    time.perf_counter(), parent=round_span,
-                                    device_seconds=halo_seconds_per_exchange,
-                                    bytes=exchanged * itemsize,
-                                    overlap=self.overlap)
-                    for j, stage_name in enumerate(group):
-                        mult = span - 1 - j
-                        if j > 0:
-                            partition.refresh_local_boundaries(locals_)
-                        sweep_start = time.perf_counter()
-                        results = sweep_all(stage_name, mult)
-                        sweep_end = time.perf_counter()
-                        for launches, result in zip(shard_launches, results):
-                            launches.append(result)
-                        elapsed = [r.elapsed_seconds for r in results]
-                        compute_crit += max(r.compute_seconds
-                                            for r in results)
-                        memory_crit += max(r.memory_seconds for r in results)
-                        dram_bytes += sum(
-                            phases[stage_name][i][mult].dram_bytes
-                            for i in range(n_shards))
-                        redundant_cells += sum(
-                            phases[stage_name][i][mult].out_cells - owned
-                            for i, owned in enumerate(owned_cells))
-                        if tracer is not None:
-                            tracer.record("sweep", sweep_start, sweep_end,
-                                          parent=round_span,
-                                          device_seconds=max(elapsed),
-                                          sweep=sweep_index,
-                                          stage=stage_name, window_mult=mult)
-                        if after_exchange and self.overlap:
-                            step_wall = 0.0
-                            for i, seconds in enumerate(elapsed):
-                                cells = phases[stage_name][i][mult].out_cells
-                                share = min(interior_cells[i], cells) / cells \
-                                    if cells > 0 else 0.0
-                                interior_sec = seconds * share
-                                step_wall = max(
-                                    step_wall,
-                                    max(interior_sec, shard_halo_seconds[i])
-                                    + (seconds - interior_sec))
-                            wall += step_wall
-                            exposure = step_wall - max(elapsed)
-                            exposed_seconds += exposure
-                            if tracer is not None:
-                                tracer.record("overlap_exposed", sweep_end,
-                                              sweep_end, parent=round_span,
-                                              device_seconds=exposure,
-                                              sweep=sweep_index, overlap=True)
-                        elif after_exchange:
-                            wall += max(elapsed) + halo_seconds_per_exchange
-                            exposed_seconds += halo_seconds_per_exchange
-                            if tracer is not None:
-                                tracer.record(
-                                    "overlap_exposed", sweep_end, sweep_end,
-                                    parent=round_span,
-                                    device_seconds=halo_seconds_per_exchange,
-                                    sweep=sweep_index, overlap=False)
-                        else:
-                            wall += max(elapsed)
-                        after_exchange = False
-                        sweep_index += 1
-                    first_round = False
-                    if tracer is not None and round_span is not None:
-                        round_span.add_device_seconds(wall - round_wall_before)
-                        tracer.end(round_span)
-                if tracer is not None and step_span is not None:
-                    step_span.add_device_seconds(wall - step_wall_before)
-                    tracer.end(step_span)
-        finally:
-            if pool is not None:
-                pool.shutdown()
-
-        output = partition.assemble(locals_, base)
-        apply_boundary(output, radius, partition.boundary)
-
-        shard_totals = [summarize_launches(launches)
-                        for launches in shard_launches]
-        all_launches = [r for launches in shard_launches for r in launches]
-        overall = combine_utilization(
-            [r.utilization for r in all_launches],
-            [r.elapsed_seconds for r in all_launches])
-
+        spec, layout, shard_compile_seconds = self._fetch_layout(
+            plan, stages=plan.stage_count)
         points, flops = _program_throughput(plan, steps)
-        elapsed = wall
-        gstencil = points / elapsed / 1e9 if elapsed > 0 else 0.0
-        gflops = flops / elapsed / 1e9 if elapsed > 0 else 0.0
-
-        return ShardedRunResult(
-            output=output,
+        schedule = RoundSchedule.program(layout.groups, steps)
+        return self._run_schedule(
+            layout, schedule, grid.data, plan.dtype.itemsize,
+            lambda elapsed: (points / elapsed / 1e9, flops / elapsed / 1e9)
+            if elapsed > 0 else (0.0, 0.0),
+            step_attrs={"program": plan.program.name,
+                        "groups": len(layout.groups)},
             iterations=steps,
-            elapsed_seconds=elapsed,
-            compute_seconds=compute_crit,
-            memory_seconds=memory_crit,
-            gstencil_per_second=gstencil,
-            gflops_per_second=gflops,
-            utilization=overall,
             overhead_seconds={"program_compile": plan.compile_seconds,
                               "shard_compile": shard_compile_seconds},
-            sweeps=len(all_launches) // max(1, n_shards),
-            leftover_sweeps=0,
+            sweeps=schedule.sweeps,
             points_updated=points,
-            shard_grid=partition.shard_grid,
-            shard_elapsed_seconds=tuple(t.elapsed_seconds
-                                        for t in shard_totals),
-            shard_utilization=tuple(t.utilization for t in shard_totals),
-            halo_exchange_bytes=halo_bytes,
-            halo_exchange_seconds=halo_seconds,
-            halo_exposed_seconds=exposed_seconds,
-            halo_exchange_count=exchange_count,
-            halo_depth=depth,
-            overlap=self.overlap,
-            redundant_points_updated=float(redundant_cells),
-            device_traffic_bytes=dram_bytes,
             device_count=spec.device_count,
         )
 
@@ -612,13 +415,12 @@ def model_program(plan: ProgramPlan, devices: int = 2, steps: int = 1,
                   spec: Optional[MultiDeviceSpec] = None) -> ProgramCostModel:
     """Price ``steps`` program steps on one device and on ``devices`` shards.
 
-    The sharded estimate walks the exact round schedule the runner executes
-    (first round skips the exchange, stage ``j`` of a span-``k`` group
-    sweeps window ``mult = k-1-j``) with each stage's full-grid modelled
-    sweep time scaled linearly by its window's share of the output cells —
-    the same compile-free arithmetic as
-    :func:`repro.engine.sharded.model_schedule`, so the scheduler routes
-    programs and plain kernels through one pricing model.
+    The sharded estimate prices the exact round schedule the runner
+    executes (:meth:`~repro.engine.sharded.RoundSchedule.program`) with
+    :func:`~repro.engine.sharded.price_schedule`, each stage's full-grid
+    modelled sweep time scaled linearly by its window's share of the output
+    cells — the compile-free estimate the scheduler also prices plain
+    kernels with.
     """
     require_positive_int(steps, "steps")
     single_seconds = plan.single_step_seconds * steps
@@ -647,73 +449,23 @@ def model_program(plan: ProgramPlan, devices: int = 2, steps: int = 1,
     if spec is None:
         spec = MultiDeviceSpec(device=plan.stages[0].compiled[0].spec,
                                device_count=devices)
-    itemsize = plan.dtype.itemsize
-    recv_elements = partition.received_elements_per_shard()
-    recv_messages = partition.messages_per_shard()
-    halos = [spec.exchange_seconds(elements * itemsize, messages)
-             for elements, messages in zip(recv_elements, recv_messages)]
-    halo = max(halos)
-
+    geometry = ShardGeometry.build(partition, spec, plan.dtype.itemsize)
+    bill = price_schedule(
+        RoundSchedule.program(groups, steps), geometry,
+        {cstage.name: geometry.linear_seconds(cstage.sweep_seconds)
+         for cstage in plan.stages}, overlap)
     depth = partition.halo_depth
-    out_cells = 1
-    for extent in partition.grid_shape:
-        out_cells *= extent - 2 * partition.radius
-    window_cells = [[math.prod(partition.window_out_shape(shard, mult))
-                     for mult in range(depth)]
-                    for shard in partition.shards]
-    interior = [_interior_cells(partition, shard)
-                for shard in partition.shards]
-    stage_seconds = {cstage.name: cstage.sweep_seconds
-                     for cstage in plan.stages}
-
-    wall = exposed = halo_total = 0.0
-    exchange_count = 0
-    first_round = True
-    for _ in range(steps):
-        for group in groups:
-            span = len(group)
-            after_exchange = not first_round
-            if after_exchange:
-                exchange_count += 1
-                halo_total += halo
-            for j, stage_name in enumerate(group):
-                mult = span - 1 - j
-                per_shard = [
-                    stage_seconds[stage_name] * window_cells[i][mult]
-                    / out_cells
-                    for i in range(partition.n_shards)]
-                if after_exchange and overlap:
-                    step_wall = 0.0
-                    for i, seconds in enumerate(per_shard):
-                        cells = window_cells[i][mult]
-                        share = min(interior[i], cells) / cells \
-                            if cells > 0 else 0.0
-                        interior_sec = seconds * share
-                        step_wall = max(step_wall,
-                                        max(interior_sec, halos[i])
-                                        + (seconds - interior_sec))
-                    wall += step_wall
-                    exposed += step_wall - max(per_shard)
-                elif after_exchange:
-                    wall += max(per_shard) + halo
-                    exposed += halo
-                else:
-                    wall += max(per_shard)
-                after_exchange = False
-            first_round = False
-
-    fused = any(len(group) > 1 for group in groups)
     return ProgramCostModel(
         steps=steps,
         devices=devices,
-        fused=fused,
+        fused=any(len(group) > 1 for group in groups),
         groups=groups,
         halo_depth=depth,
         single_seconds=single_seconds,
-        sharded_seconds=wall,
-        exchange_count=exchange_count,
-        halo_seconds=halo_total,
-        exposed_seconds=exposed,
+        sharded_seconds=bill.wall_seconds,
+        exchange_count=bill.exchange_count,
+        halo_seconds=bill.halo_seconds,
+        exposed_seconds=bill.exposed_seconds,
         reason=f"{len(groups)} group(s) per step, depth {depth}, "
-               f"{exchange_count} exchange(s) over {steps} step(s)",
+               f"{bill.exchange_count} exchange(s) over {steps} step(s)",
     )

@@ -9,11 +9,12 @@ model is introduced):
   communication-avoiding round — per-shard compute shrinking with the
   device count versus the interconnect cost of the partition's real halo
   geometry, amortised over ``halo_depth`` sweeps per exchange and
-  overlapped with interior compute
-  (:func:`repro.engine.sharded.model_round`, exactly the timeline the
-  :class:`~repro.engine.sharded.ShardedExecutor` bills at run time).  Small
-  grids are latency-bound and stay on one device; large grids clear the
-  NVLink latency and shard.
+  overlapped with interior compute: the steady-state
+  :meth:`~repro.engine.sharded.RoundSchedule.steady_state` round, priced by
+  :func:`repro.engine.sharded.price_schedule` with the same per-sweep rule
+  the :class:`~repro.engine.sharded.ShardedExecutor` bills at run time.
+  Small grids are latency-bound and stay on one device; large grids clear
+  the NVLink latency and shard.
 * **how many devices, how deep a halo?**  Every free power-of-two count is
   evaluated at every feasible ``halo_depth`` up to ``max_halo_depth``; the
   best modelled speedup wins, provided it beats ``min_speedup`` and the
@@ -140,6 +141,16 @@ class DevicePoolScheduler:
     construction — so a memoized decision stays the one the model would
     compute again.
 
+    A kernel is routed on the *steady-state* round (an exchange, then
+    ``halo_depth`` sweeps), not on the finite schedule a run of
+    ``iterations`` executes.  A short run's first round needs no exchange,
+    so its finite price flatters sharding: 4 iterations of a 64x64 heat-2d
+    on 2 devices model ~1.9x at depth 4 with no exchange at all.  The
+    steady state charges every round its exchange, which keeps small,
+    latency-bound grids on one device.  Routing on the finite schedule is
+    a policy change, and it would also have to put the iteration count in
+    the memo key.
+
     Parameters
     ----------
     pool:
@@ -249,8 +260,10 @@ class DevicePoolScheduler:
         """``(modelled speedup, halo fraction, halo depth)`` of a
         ``devices``-way shard at its best communication-avoiding depth.
 
-        Prices the steady-state round with
-        :func:`repro.engine.sharded.model_round` — the same partition
+        Prices the steady-state round
+        (:meth:`~repro.engine.sharded.RoundSchedule.steady_state`: an
+        exchange, then ``halo_depth`` sweeps) with
+        :func:`~repro.engine.sharded.price_schedule` — the same partition
         geometry, interconnect model, exchange amortisation and overlap the
         sharded executor bills at run time — and returns ``None`` when the
         grid cannot be tiled into that many shards.  The depth search walks
@@ -258,7 +271,8 @@ class DevicePoolScheduler:
         keeps the cheapest amortised sweep; with a fixed ``halo_depth``
         configured, only that depth (clamped) is priced.
         """
-        from repro.engine.sharded import model_round
+        from repro.engine.sharded import (RoundSchedule, ShardGeometry,
+                                          price_schedule)
 
         sweep = key.sweep_seconds
         align = key.config.r
@@ -290,12 +304,14 @@ class DevicePoolScheduler:
                 continue
             if partition.n_shards > devices or partition.n_shards < 2:
                 return None
-            round_model = model_round(partition, self.pool, key.itemsize,
-                                      sweep, overlap=self.overlap)
-            speedup = sweep / round_model.per_sweep_seconds \
-                if round_model.per_sweep_seconds > 0 else 0.0
+            geometry = ShardGeometry.build(partition, self.pool, key.itemsize)
+            bill = price_schedule(
+                RoundSchedule.steady_state(partition.halo_depth), geometry,
+                {"": geometry.linear_seconds(sweep)}, self.overlap)
+            speedup = sweep / bill.per_sweep_seconds \
+                if bill.per_sweep_seconds > 0 else 0.0
             if best is None or speedup > best[0]:
-                best = (speedup, round_model.halo_fraction, depth)
+                best = (speedup, bill.halo_fraction, depth)
         return best
 
     def decide(self, compiled: CompiledStencil, iterations: int,
@@ -368,10 +384,10 @@ class DevicePoolScheduler:
         """Routing decision for a compiled stencil *program*
         (:class:`repro.programs.ProgramPlan`).
 
-        Prices the sharded round schedule with
+        Prices the finite sharded round schedule with
         :func:`repro.programs.executor.model_program` — the same partition
-        geometry, interconnect model and overlap arithmetic as
-        :meth:`decide` — and applies the identical ``min_speedup`` /
+        geometry, interconnect model and billing walk as :meth:`decide` —
+        and applies the identical ``min_speedup`` /
         ``max_halo_fraction`` gates.  The halo depth is not searched here:
         a program's depth is its fusion-group span (consecutive equal-radius
         stages under one exchange), clamped by the geometry.  Memoized by

@@ -163,6 +163,47 @@ class TestShardLayoutMemoTrace:
         assert registry.counter("engine.shard_layout_hits").value == 1
 
 
+class TestShardedRoundSpans:
+    """Kernels and programs run through one round loop; a program's rounds
+    nest under one ``program_step`` span per step."""
+
+    def _spans(self, tracer, problem):
+        session = StencilSession(SessionConfig(devices=4, tracer=tracer))
+        solution = session.solve(problem, SolvePolicy(mode="sharded"))
+        spans = tracer.spans(solution.provenance.trace_id)
+        assert validate_spans(spans) == []
+        return spans, {s.span_id: s for s in spans}
+
+    def test_program_rounds_nest_under_step_spans(self, tracer):
+        from repro import StencilProgram
+
+        blur = StencilPattern.box(2, 1, weights=[1.0 / 9.0] * 9)
+        program = StencilProgram.chain(
+            "heat-blur", [("heat", heat2d_pattern()), ("blur", blur)])
+        grid = make_grid((66, 66), kind="random", seed=5)
+        spans, by_id = self._spans(
+            tracer, Problem(program=program, grid=grid, iterations=3))
+        steps = [s for s in spans if s.name == "program_step"]
+        assert [s.attrs["step"] for s in steps] == [0, 1, 2]
+        step_ids = {s.span_id for s in steps}
+        rounds = [s for s in spans if s.name == "round"]
+        assert rounds and all(r.parent_id in step_ids for r in rounds)
+        assert all(r.attrs["stages"] for r in rounds)
+        sweeps = [s for s in spans if s.name == "sweep"]
+        assert [s.attrs["stage"] for s in sweeps] == ["heat", "blur"] * 3
+        assert all(by_id[s.parent_id].name == "round" for s in sweeps)
+
+    def test_kernel_rounds_have_no_step_spans(self, tracer):
+        grid = make_grid((66, 66), kind="random", seed=5)
+        spans, by_id = self._spans(
+            tracer, Problem(heat2d_pattern(), grid, iterations=3))
+        assert not any(s.name == "program_step" for s in spans)
+        rounds = [s for s in spans if s.name == "round"]
+        assert [r.attrs["round"] for r in rounds] == list(range(len(rounds)))
+        assert all("stage" not in s.attrs for s in spans
+                   if s.name == "sweep")
+
+
 class TestDisabledTracingPath:
     def test_untraced_session_leaves_no_trace(self):
         session = StencilSession(SessionConfig(devices=2))

@@ -23,7 +23,8 @@ from repro import (Problem, SessionConfig, StencilSession, compile_stencil,
 from repro.analysis import (deep_halo_tradeoff, per_shard_utilization,
                             sharded_scaling)
 from repro.engine import ShardedExecutor, SweepExecutor
-from repro.engine.sharded import model_round, model_schedule
+from repro.engine.sharded import (RoundSchedule, ShardGeometry,
+                                  price_schedule)
 from repro.service import CompileCache, solve_sharded
 from repro.obs.metrics import global_registry
 from repro.service.cache import SHARD_LAYOUT_LIMIT
@@ -250,9 +251,6 @@ class TestDeepHaloAccounting:
 
 class TestRoundModels:
     def test_model_schedule_matches_executor_wall_clock(self):
-        from repro.engine.sharded import window_plan_seconds
-        from repro.stencils.partition import GridPartition
-
         compiled, grid, _ = _deep_case(2, "dirichlet")
         spec = MultiDeviceSpec(device=compiled.spec, device_count=4)
         for depth in (1, 2, 3):
@@ -260,33 +258,128 @@ class TestRoundModels:
                 executor = ShardedExecutor(spec, shard_grid=(2, 2),
                                            cache=_DEEP_CACHE,
                                            halo_depth=depth, overlap=overlap)
-                partition = executor.partition(compiled)
-                seconds = window_plan_seconds(compiled, spec, partition,
-                                              cache=_DEEP_CACHE)
-                model = model_schedule(partition, spec,
-                                       compiled.plan.dtype.itemsize,
-                                       DEEP_ITERS,
-                                       compiled.plan.estimate.t_total,
-                                       overlap=overlap,
-                                       window_seconds=seconds)
+                layout = executor.layout(compiled)
+                model = price_schedule(
+                    RoundSchedule.kernel(DEEP_ITERS,
+                                         layout.partition.halo_depth),
+                    layout.geometry, layout.window_seconds(), overlap)
                 result = executor.execute(compiled, grid, DEEP_ITERS)
-                assert model.round_seconds == pytest.approx(
-                    result.elapsed_seconds, rel=1e-9)
-                assert model.exposed_seconds == pytest.approx(
-                    result.halo_exposed_seconds, rel=1e-9, abs=1e-18)
+                assert model.wall_seconds == result.elapsed_seconds
+                assert model.exposed_seconds == result.halo_exposed_seconds
                 assert model.redundant_fraction * result.points_updated == \
                     pytest.approx(result.redundant_points_updated)
 
-    def test_model_round_single_shard_is_pure_compute(self, heat2d):
+    def test_model_round_single_shard_is_pure_compute(self):
         from repro.stencils.partition import GridPartition
 
-        compiled = compile_stencil(heat2d, (66, 66), search=False,
-                                   r1=8, r2=8)
         partition = GridPartition.build((66, 66), 1, (1, 1), align=(8, 8))
-        model = model_round(partition, multi_a100(1), 2, 1e-6)
+        geometry = ShardGeometry.build(partition, multi_a100(1), 2)
+        model = price_schedule(
+            RoundSchedule.steady_state(partition.halo_depth), geometry,
+            {"": geometry.linear_seconds(1e-6)})
         assert model.per_sweep_seconds == 1e-6
         assert model.halo_seconds == 0.0
         assert model.halo_fraction == 0.0
+
+
+@lru_cache(maxsize=None)
+def _bill_program(boundary):
+    """A three-stage equal-radius chain (``fuse=True`` puts every stage
+    under one exchange) and its grid."""
+    from repro import StencilProgram, compile_program
+
+    heat = StencilPattern.star(2, 1, weights=[0.6, 0.1, 0.1, 0.1, 0.1])
+    blur = StencilPattern.box(2, 1, weights=[1.0 / 9.0] * 9)
+    program = StencilProgram.chain(
+        "bill-chain", [("heat", heat), ("blur", blur), ("relax", heat)])
+    grid = make_grid((66, 66), kind="random", seed=5, boundary=boundary)
+    return compile_program(program, grid), grid
+
+
+_KERNEL_BILL_CASES = [
+    ("kernel", boundary, shards, depth, overlap, iterations)
+    for boundary in ("dirichlet", "periodic", "reflect")
+    for shards in (1, 2, 4)
+    for depth in (1, 2, 3)
+    for overlap in (True, False)
+    # 5 divides by no depth above 1; 6 by every depth
+    for iterations in (5, 6)
+]
+_PROGRAM_BILL_CASES = [
+    ("program", boundary, 4, fuse, overlap, steps)
+    for boundary in ("dirichlet", "periodic", "reflect")
+    for fuse in (True, False)
+    for overlap in (True, False)
+    for steps in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize(
+    "kind,boundary,shards,knob,overlap,count",
+    _KERNEL_BILL_CASES + _PROGRAM_BILL_CASES,
+    ids=lambda v: str(v))
+def test_priced_schedule_equals_run_bill(kind, boundary, shards, knob,
+                                         overlap, count):
+    """Pricing a run's :class:`RoundSchedule` with its layout's window
+    seconds reproduces the run's bill exactly — kernels (``knob`` is the
+    halo depth, ``count`` the iterations) and chain programs (``knob`` is
+    ``fuse``, ``count`` the steps)."""
+    from repro import ShardedProgramRunner
+
+    if kind == "kernel":
+        compiled, grid, _ = _deep_case(2, boundary)
+        runner = ShardedExecutor(shards, shard_grid=DEEP_SHARDS[2][shards],
+                                 cache=_DEEP_CACHE, halo_depth=knob,
+                                 overlap=overlap)
+        layout = runner.layout(compiled)
+        schedule = RoundSchedule.kernel(count, layout.partition.halo_depth)
+        result = runner.execute(compiled, grid, count)
+    else:
+        plan, grid = _bill_program(boundary)
+        runner = ShardedProgramRunner(shards, cache=_DEEP_CACHE, fuse=knob,
+                                      overlap=overlap)
+        layout = runner.layout(plan)
+        schedule = RoundSchedule.program(layout.groups, count)
+        result = runner.execute(plan, grid, count)
+    bill = price_schedule(schedule, layout.geometry, layout.window_seconds(),
+                          overlap)
+    assert bill.wall_seconds == result.elapsed_seconds
+    assert bill.exposed_seconds == result.halo_exposed_seconds
+    assert bill.exchange_count == result.halo_exchange_count
+    assert bill.halo_seconds == result.halo_exchange_seconds
+    assert bill.sweeps == result.sweeps
+
+
+class TestRouterPricesSteadyState:
+    def test_short_run_routes_single_despite_cheap_finite_schedule(self):
+        """The router prices the steady-state round, not the finite one: a
+        4-iteration 64x64 heat-2d run needs no exchange at depth 4 and its
+        finite schedule models ~1.9x on 2 devices, yet it routes single."""
+        from repro import SolvePolicy
+        from repro.stencils.partition import GridPartition
+
+        pattern = get_benchmark("heat-2d").pattern
+        problem = Problem(pattern, make_grid((64, 64), seed=3),
+                          iterations=4, options={"backend": "numpy"})
+        with StencilSession(devices=2) as session:
+            compiled = session.compile(problem)
+            solution = session.solve(problem, SolvePolicy(mode="auto"))
+            min_speedup = session.scheduler.min_speedup
+        assert solution.provenance.executor == "single"
+
+        partition = GridPartition.build(
+            (64, 64), pattern.radius, 2, align=compiled.plan.config.r,
+            halo_depth=4)
+        assert partition.halo_depth == 4
+        geometry = ShardGeometry.build(partition, multi_a100(2),
+                                       compiled.plan.dtype.itemsize)
+        sweep = compiled.plan.estimate.t_total
+        finite = price_schedule(RoundSchedule.kernel(4, 4), geometry,
+                                {"": geometry.linear_seconds(sweep)})
+        assert finite.exchange_count == 0
+        speedup = sweep / finite.per_sweep_seconds
+        assert speedup == pytest.approx(1.9, abs=0.02)
+        assert speedup > min_speedup    # finite pricing would shard it
 
 
 class TestDeepHaloTradeoff:
