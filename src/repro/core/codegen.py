@@ -23,11 +23,13 @@ hangs C/OpenMP/OpenCL transformers off a single kernel frontend:
   conversion's permutation and the LUTs into a :class:`SlotTable` once;
   each sweep then rounds the grid to the device precision once, multiplies
   every retained slot's weight into one contiguous run of that staged grid
-  with fp32 accumulation, and assembles the interior — the generated
-  kernel's LUT-driven loads, without ever building ``B'``.  Its launch
-  timing is priced once per prepared plan from the operand shapes.  A
-  ``dense_mma`` (fp64) plan gathers ``B'`` and runs the functional dense
-  MMA every sweep.
+  with fp32 accumulation, and scatters each row of ``D`` straight into the
+  grid interior — the generated kernel's LUT-driven loads, without ever
+  building ``B'``.  Slots whose weight is exactly zero (2:4 padding) are
+  skipped whenever the staged grid is finite, which leaves every bit
+  unchanged.  Its launch timing is priced once per prepared plan from the
+  operand shapes.  A ``dense_mma`` (fp64) plan gathers ``B'`` and runs the
+  functional dense MMA every sweep.
 * ``"numpy"`` — a vectorised fast path: the effective (fused) kernel is
   applied directly as one shifted-view accumulation per tap, in float64.
   Elementwise and shape-independent, so sharded runs stay bit-identical to
@@ -125,10 +127,20 @@ class SlotTable:
     dropped.  Slots on the conversion's zero rows are left out: they
     multiply an exact zero.
 
+    Slots whose *weight* is exactly zero (the 2:4 padding) are kept in
+    ``rows`` but left out of ``live_rows``, which :meth:`multiply` walks
+    when the staged buffer is finite.  That is bit-exact: a row's
+    accumulator starts at +0 and, under round-to-nearest-even, ``+0 + x`` is
+    never −0, so it never holds −0; a zero weight times a finite operand is
+    ±0, and adding ±0 to a value that is not −0 leaves it unchanged.  A zero
+    weight times ``inf`` or ``NaN`` is ``NaN``, so a non-finite staged
+    buffer takes the full ``rows``.
+
     Attributes
     ----------
     rows: per output row, its ``(run offset, fp32 weight)`` terms in
         compressed-slot order — the order the fp32 accumulation follows.
+    live_rows: ``rows`` without the terms whose weight is zero.
     grid_shape: the grid extents the table stages.
     tile_grid: tiles per axis.
     tile_extent: the layout's tile extents ``r`` (phases per axis).
@@ -138,6 +150,7 @@ class SlotTable:
     """
 
     rows: Tuple[Tuple[Tuple[int, np.float32], ...], ...]
+    live_rows: Tuple[Tuple[Tuple[int, np.float32], ...], ...]
     grid_shape: Tuple[int, ...]
     tile_grid: Tuple[int, ...]
     tile_extent: Tuple[int, ...]
@@ -173,8 +186,10 @@ class SlotTable:
 
         Each row accumulates ``w * run`` in fp32 from +0 in slot order —
         bit-identical to :func:`repro.tcu.sparse_mma.sparse_mma_compressed`
-        on the materialised ``B''``.  Returns the ``(m', n')`` product in
-        float64, as the functional device model does.
+        on the materialised ``B''``; a finite buffer skips the zero-weight
+        terms (``live_rows``), which cannot change a bit.  Returns the
+        ``(m', n')`` product in float64, as the functional device model
+        does.
         """
         require(staged.shape == self.staged_shape
                 and staged.dtype == np.float32 and staged.flags.c_contiguous,
@@ -185,7 +200,8 @@ class SlotTable:
         m = len(self.rows)
         d = np.zeros((m, int(np.prod(self.phase_shape))), dtype=np.float32)
         term = np.empty(span, dtype=np.float32)
-        for row, terms in zip(d, self.rows):
+        rows = self.live_rows if np.isfinite(staged).all() else self.rows
+        for row, terms in zip(d, rows):
             acc = row[:span]
             for offset, weight in terms:
                 np.multiply(flat[offset:offset + span], weight, out=term)
@@ -257,6 +273,8 @@ def build_slot_table(conversion: ConversionResult, metadata: SparseMetadata,
         for row_sources, row_weights in zip(sources, weights))
     return SlotTable(
         rows=rows,
+        live_rows=tuple(tuple(term for term in row if term[1] != 0)
+                        for row in rows),
         grid_shape=lut.grid_shape,
         tile_grid=tiles,
         tile_extent=extent,

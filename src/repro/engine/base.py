@@ -14,13 +14,19 @@ generated kernel's stages:
 2. :func:`mma_step` — the MMA on the simulated Tensor Cores.  A sparse plan
    accumulates its compile-time slot table
    (:meth:`~repro.core.codegen.SlotTable.multiply`) — one contiguous run of
-   the staged buffer per retained 2:4 slot, in fp32 and slot order — and
-   attaches the launch priced once per context from the plan's shapes; a
-   dense plan runs the functional device model
+   the staged buffer per retained 2:4 slot, in fp32 and slot order,
+   skipping zero-weight slots when the buffer is finite — and attaches the
+   launch priced once per context from the plan's shapes; a dense plan
+   runs the functional device model
    (:func:`~repro.tcu.executor.execute_launch`);
-3. :func:`assemble_step` — reassemble ``D`` into the grid interior (the
-   halo ring is the *executor's* responsibility, per the plan's boundary
-   condition).
+3. :func:`assemble_step` — scatter ``D`` into the grid interior in place:
+   row ``a`` of ``D`` holds intra-tile offset ``o`` (row-major over the
+   tile extents ``r``) of every tile, so it is written, cropped to the
+   tiles that fit, straight into the strided view
+   ``interior[o_0::r_0, o_1::r_1, ...]`` (:attr:`SweepContext.scatter`) —
+   for sparse and dense plans alike, with no intermediate grid.  The halo
+   ring is the *executor's* responsibility, per the plan's boundary
+   condition.
 
 :func:`prepare_sweep` precomputes everything the steps share for one plan;
 executors (:class:`SweepExecutor` implementations) own the loop around the
@@ -37,7 +43,6 @@ import numpy as np
 
 from repro.core.codegen import get_backend
 from repro.core.lookup_table import gather_b_matrix
-from repro.core.morphing import assemble_output
 from repro.core.pipeline import CompiledStencil, StencilRunResult
 from repro.stencils.grid import Grid
 from repro.stencils.reference import stencil_points_updated
@@ -127,6 +132,25 @@ class SweepContext:
             spec=self.spec,
         )
 
+    @cached_property
+    def scatter(self) -> Tuple[Tuple[Tuple[slice, ...], Tuple[slice, ...]], ...]:
+        """Where each row of ``D`` lands in the grid, in row order.
+
+        Row ``a`` holds intra-tile offset ``o`` (row-major over the tile
+        extents ``r``) of every tile; its ``(target, crop)`` pair is the
+        strided interior view ``[radius + o_i :: r_i]`` and the slice of the
+        row's tile grid that fills it — the tiles whose cell at ``o`` lies
+        inside the interior rather than in the tile padding.
+        """
+        r = self.plan.config.r
+        out_shape = self.plan.lut.out_shape
+        return tuple(
+            (tuple(slice(axis.start + o, axis.stop, step)
+                   for axis, o, step in zip(self.interior, offset, r)),
+             tuple(slice(0, len(range(o, extent, step)))
+                   for o, extent, step in zip(offset, out_shape, r)))
+            for offset in np.ndindex(*r))
+
 
 def prepare_sweep(compiled: CompiledStencil,
                   spec: Optional[GPUSpec] = None) -> SweepContext:
@@ -193,11 +217,21 @@ def mma_step(context: SweepContext, b_operand: np.ndarray) -> LaunchResult:
 
 def assemble_step(context: SweepContext, result: LaunchResult,
                   current: np.ndarray) -> None:
-    """Stage 3: reassemble ``D`` into the grid interior, in place."""
+    """Stage 3: scatter ``D`` into the grid interior, in place.
+
+    Each row of ``D``, viewed over the tile grid and cropped, is written
+    through its :attr:`~SweepContext.scatter` view; the result equals
+    :func:`~repro.core.morphing.assemble_output` written to the interior.
+    """
     require(result.output is not None,
             f"launch {result.name!r} produced no functional output")
-    output_grid = assemble_output(result.output, context.compiled.geometry())
-    current[context.interior] = output_grid
+    plan = context.plan
+    require(result.output.shape == (plan.m_prime, plan.n_prime),
+            f"D has shape {result.output.shape}, expected "
+            f"{(plan.m_prime, plan.n_prime)}")
+    tiles = result.output.reshape((plan.m_prime,) + plan.lut.tile_grid)
+    for row, (target, crop) in zip(tiles, context.scatter):
+        current[target] = row[crop]
 
 
 def run_sweep(context: SweepContext, current: np.ndarray) -> LaunchResult:

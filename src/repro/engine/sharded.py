@@ -539,13 +539,6 @@ class ShardLayout:
                 for stage, table in self.phases.items()}
 
 
-def device_key(device: GPUSpec) -> Tuple[Any, ...]:
-    """Hashable content of a device spec (its dict field as sorted items),
-    for layout keys — far cheaper than the fingerprint's canonical form."""
-    return tuple(tuple(sorted(value.items())) if isinstance(value, dict)
-                 else value for value in vars(device).values())
-
-
 _LAYOUT_COUNTERS = {
     "hit": ("engine.shard_layout_hits",
             "sharded runs whose layout came from the cache's layout memo"),

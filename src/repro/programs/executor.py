@@ -61,7 +61,6 @@ from repro.engine.sharded import (
     ShardGeometry,
     ShardLayout,
     build_shard_phases,
-    device_key,
     price_schedule,
 )
 from repro.obs.trace import current_span
@@ -72,7 +71,7 @@ from repro.stencils.grid import Grid
 from repro.stencils.partition import GridPartition
 from repro.stencils.reference import stencil_points_updated
 from repro.tcu.executor import LaunchResult
-from repro.tcu.spec import GPUSpec, MultiDeviceSpec
+from repro.tcu.spec import GPUSpec, MultiDeviceSpec, device_key
 from repro.util.validation import ValidationError, require, require_positive_int
 
 __all__ = [

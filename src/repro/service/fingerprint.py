@@ -22,7 +22,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.pipeline import (
     CompiledStencil,
@@ -31,7 +31,7 @@ from repro.core.pipeline import (
     resolve_compile_options,
 )
 from repro.stencils.pattern import StencilPattern
-from repro.tcu.spec import FragmentShape, GPUSpec
+from repro.tcu.spec import FragmentShape, GPUSpec, device_key
 
 __all__ = [
     "CompileRequest",
@@ -70,8 +70,21 @@ def _canon_pattern(pattern: StencilPattern) -> Tuple:
             tuple((off, w.hex()) for off, w in taps))
 
 
+#: Canonical spec tuples by :func:`~repro.tcu.spec.device_key`: a warm
+#: fingerprint skips ``dataclasses.asdict``.  Cleared when it outgrows
+#: ``_SPEC_MEMO_LIMIT`` devices, so what-if sweeps cannot grow it unbounded.
+_SPEC_MEMO: Dict[Tuple, Tuple] = {}
+_SPEC_MEMO_LIMIT = 64
+
+
 def _canon_spec(spec: GPUSpec) -> Tuple:
-    return _canon(dataclasses.asdict(spec))
+    key = device_key(spec)
+    canon = _SPEC_MEMO.get(key)
+    if canon is None:
+        if len(_SPEC_MEMO) >= _SPEC_MEMO_LIMIT:
+            _SPEC_MEMO.clear()
+        canon = _SPEC_MEMO[key] = _canon(dataclasses.asdict(spec))
+    return canon
 
 
 def _canon_fragment(fragment: FragmentShape) -> Tuple:

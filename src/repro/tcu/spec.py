@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "SPARSE_FRAGMENTS",
     "DENSE_FRAGMENTS",
     "multi_a100",
+    "device_key",
 ]
 
 
@@ -179,6 +180,20 @@ class GPUSpec:
 
 #: Default device used across benchmarks and examples.
 A100_SPEC = GPUSpec()
+
+
+def device_key(device: GPUSpec) -> Tuple[Any, ...]:
+    """Hashable content of a device spec, for memo keys (shard layouts, the
+    compile fingerprint's canonical spec) — far cheaper than
+    ``dataclasses.asdict``.
+
+    The dataclass ``repr`` spells every field, floats in Python's exact
+    round-trip form, so two specs share a key only when each field has the
+    same type and bits (``0.0`` / ``-0.0`` and ``1`` / ``1.0`` differ).
+    Equal dicts built in another insertion order get distinct keys, which
+    costs a memo miss, never a wrong hit.
+    """
+    return type(device), repr(device)
 
 
 @dataclass(frozen=True)

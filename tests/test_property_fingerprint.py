@@ -4,12 +4,17 @@ cosmetic fields (name, tap order, metadata)."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.service import CompileRequest, compile_fingerprint, pattern_fingerprint
+from repro.service import fingerprint as fingerprint_module
+from repro.stencils import domains
 from repro.stencils.pattern import StencilPattern
-from repro.tcu.spec import DataType
+from repro.tcu.spec import A100_SPEC, DataType
 from repro.util.validation import ValidationError
 
 SETTINGS = dict(max_examples=60, deadline=None)
@@ -124,3 +129,35 @@ class TestCompileFingerprintProperty:
                                       temporal_fusion=fusion)
         assert base.fingerprint != recast.fingerprint
         assert compile_fingerprint(base.options) == base.fingerprint
+
+
+class TestPinnedDigests:
+    """Digests are persisted with cached plans, so they must not drift.
+
+    The canonical spec tuple is memoized by device content; these digests
+    were computed before the memo existed.
+    """
+
+    @pytest.mark.parametrize("spec, digest", [
+        (A100_SPEC,
+         "a0f6709ea59b24b0a46fee3626f6157f4f40cd0ecd88e0a73850796b2c84c606"),
+        (A100_SPEC.with_overrides(clock_ghz=1.0),
+         "ffff7ff2a73efb0ac859b108e6cd83e6648e7ccdf8cf29b592d3aaafd38f6672"),
+        (A100_SPEC.with_overrides(clock_ghz=1),
+         "6d3190b32c48c8364f895f04c4b61f3484f4cd17dc0afc5e2d13d49a5ddad331"),
+    ])
+    def test_compile_fingerprint_is_pinned(self, spec, digest):
+        for _ in range(2):  # cold memo, then warm
+            request = CompileRequest.build(domains.heat_2d(), (64, 64),
+                                           backend="tcu-sim",
+                                           boundary="periodic", spec=spec)
+            assert request.fingerprint == digest
+
+    def test_memoized_spec_matches_its_canonical_form(self):
+        specs = [A100_SPEC, A100_SPEC.with_overrides(clock_ghz=1),
+                 A100_SPEC.with_overrides(clock_ghz=1.0),
+                 A100_SPEC.with_overrides(ffma_tflops=-0.0),
+                 A100_SPEC.with_overrides(ffma_tflops=0.0)]
+        for spec in specs + specs[::-1]:
+            assert (fingerprint_module._canon_spec(spec)
+                    == fingerprint_module._canon(dataclasses.asdict(spec)))

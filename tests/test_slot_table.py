@@ -5,6 +5,8 @@ compile-time :class:`~repro.core.codegen.SlotTable`.  It must reproduce, bit
 for bit, the reference data path it replaced:
 ``gather_b_matrix -> apply_to_b -> sparse_mma_compressed -> assemble_output``,
 with the launch timing :func:`~repro.tcu.executor.execute_launch` bills.
+The in-place scatter of ``D`` into the grid is checked against
+``assemble_output`` for the dense plans the generated suite does not draw.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from repro.core.lookup_table import gather_b_matrix
 from repro.core.metadata import SparseMetadata, pack_indices
 from repro.core.morphing import assemble_output
 from repro.core.pipeline import compile_stencil
-from repro.engine import SingleDeviceExecutor, prepare_sweep, run_sweep
+from repro.engine import (SingleDeviceExecutor, assemble_step, gather_step,
+                          mma_step, prepare_sweep, run_sweep)
+from repro.stencils.boundary import neumann
 from repro.stencils.catalog import full_catalog
 from repro.stencils.grid import Grid
 from repro.stencils.pattern import StencilPattern
@@ -75,7 +79,8 @@ def problems(draw, fusion: int = 1):
                   for _ in range(pattern.ndim))
     r1 = draw(st.integers(1, 6))
     r2 = draw(st.integers(1, 4)) if pattern.ndim > 1 else None
-    boundary = draw(st.sampled_from(["dirichlet", "periodic", "reflect"]))
+    boundary = draw(st.sampled_from(["dirichlet", "periodic", "reflect",
+                                     neumann(0.25)]))
     dtype = draw(st.sampled_from([DataType.FP16, DataType.BF16, DataType.TF32]))
     compiled = compile_stencil(pattern, shape, search=False, r1=r1, r2=r2,
                                dtype=dtype, boundary=boundary,
@@ -232,3 +237,74 @@ class TestCertification:
                                    backend="tcu-sim")
         assert compiled.plan.engine == "dense_mma"
         assert compiled.plan.slot_table is None
+
+
+def _terms(rows) -> int:
+    return sum(map(len, rows))
+
+
+class TestZeroWeightElision:
+    def test_finite_grid_skips_zero_weight_slots(self):
+        compiled, data = _heat_plan()
+        table = compiled.plan.slot_table
+        # the heat plan's 2:4 padding leaves zero-weight slots to skip
+        assert _terms(table.live_rows) < _terms(table.rows)
+        assert all(weight != 0 for row in table.live_rows for _, weight in row)
+
+        context = prepare_sweep(compiled)
+        new = data.copy()
+        run_sweep(context, new)
+        old = data.copy()
+        _oracle_sweep(context, old)
+        assert _same_bits(new, old)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_grid_takes_the_full_rows(self):
+        compiled, data = _heat_plan()
+        table = compiled.plan.slot_table
+        assert _terms(table.live_rows) < _terms(table.rows)
+        # 7e4 rounds to +inf in fp16; a zero weight times inf or NaN is NaN
+        data[4, 5], data[9, 13], data[16, 22] = 7e4, np.inf, np.nan
+        context = prepare_sweep(compiled)
+        new = data.copy()
+        result = run_sweep(context, new)
+        old = data.copy()
+        expected = _oracle_sweep(context, old)
+        assert _same_bits(new, old)
+        assert _same_bits(result.output, expected.output)
+
+
+class TestScatter:
+    @pytest.mark.parametrize("pattern, shape, r1, r2", [
+        (StencilPattern.star(1, 2), (29,), 4, None),
+        (StencilPattern.star(2, 1), (23, 29), 3, 2),
+        (StencilPattern.box(2, 1), (20, 17), 4, 4),
+        (StencilPattern.star(3, 1), (11, 12, 13), 2, 4),
+        (StencilPattern.box(3, 1), (13, 9, 10), 3, 2),
+    ])
+    def test_dense_plan_scatter_matches_assemble_output(self, pattern, shape,
+                                                        r1, r2):
+        compiled = compile_stencil(pattern, shape, search=False, r1=r1, r2=r2,
+                                   dtype=DataType.FP64, backend="tcu-sim")
+        plan = compiled.plan
+        assert plan.engine == "dense_mma" and plan.slot_table is None
+        # ragged: some interior extent is not a multiple of its tile extent
+        assert any(o % r for o, r in zip(plan.lut.out_shape, plan.config.r))
+
+        data = np.random.default_rng(sum(shape)).standard_normal(shape)
+        context = prepare_sweep(compiled)
+        result = mma_step(context, gather_step(context, data.copy()))
+        new = data.copy()
+        assemble_step(context, result, new)
+        old = data.copy()
+        old[context.interior] = assemble_output(result.output,
+                                                compiled.geometry())
+        assert _same_bits(new, old)
+
+    def test_scatter_rejects_a_misshapen_d(self):
+        compiled, data = _heat_plan()
+        context = prepare_sweep(compiled)
+        result = run_sweep(context, data.copy())
+        with pytest.raises(ValidationError, match="D has shape"):
+            assemble_step(context, replace(result, output=result.output[:, 1:]),
+                          data.copy())

@@ -10,6 +10,7 @@ from repro.tcu.spec import (
     DataType,
     FragmentShape,
     GPUSpec,
+    device_key,
 )
 from repro.util.validation import ValidationError
 
@@ -85,3 +86,19 @@ class TestGPUSpec:
 
     def test_clock_hz(self):
         assert A100_SPEC.clock_hz == pytest.approx(1.41e9)
+
+
+class TestDeviceKey:
+    def test_equal_content_shares_a_key(self):
+        assert device_key(GPUSpec()) == device_key(A100_SPEC)
+        hash(device_key(A100_SPEC))
+
+    @pytest.mark.parametrize("a, b", [
+        (dict(clock_ghz=1.0), dict(clock_ghz=1)),
+        (dict(ffma_tflops=0.0), dict(ffma_tflops=-0.0)),
+        (dict(sm_count=108), dict(sm_count=107)),
+        (dict(tcu_tflops={"fp16": 312.0}), dict(tcu_tflops={"fp16": 312})),
+    ])
+    def test_type_or_bits_apart_means_keys_apart(self, a, b):
+        assert (device_key(A100_SPEC.with_overrides(**a))
+                != device_key(A100_SPEC.with_overrides(**b)))
