@@ -73,8 +73,9 @@ from repro.core.perf_model import PerfEstimate, estimate_layout
 from repro.core.staircase import block_structure_from_morph
 from repro.stencils.pattern import StencilPattern
 from repro.tcu.counters import derive_utilization
-from repro.tcu.executor import LaunchResult
+from repro.tcu.executor import LaunchResult, price_launch
 from repro.tcu.spec import A100_SPEC, DataType, FragmentShape, GPUSpec, SPARSE_FRAGMENTS
+from repro.tcu.timing import mma_count
 from repro.util.validation import ValidationError, require, require_in
 
 __all__ = [
@@ -592,45 +593,54 @@ class StencilBackend(abc.ABC):
         here to keep the core → engine dependency one-way).  The returned
         callable mutates the grid array in place and returns the sweep's
         :class:`LaunchResult`.
+
+        A sweep's modelled launch depends only on its plan: every sweep of
+        one context returns ``context.priced_launch`` — :meth:`price` of that
+        context, priced once — with the functional output attached when the
+        backend produces one.  The single-device executor bills the launches
+        the sweeps return; the sharded engine bills a layout from
+        :meth:`price` once, without sweeping; and the benchmark's
+        exact-repeat check relies on the same fact.  A sweep that returned
+        any other launch would bill the two engines differently.
         """
+
+    def price(self, context: "Any") -> LaunchResult:
+        """The modelled launch of one sweep of ``context``'s plan
+        (``output`` is ``None``); read it as ``context.priced_launch``.
+
+        The default bills the plan's roofline estimate
+        (:class:`~repro.core.perf_model.PerfEstimate`): host-side backends
+        skip the functional device simulation, so they have no fragment path
+        to price, and bill the same per-sweep model the layout search and
+        the device-pool scheduler already trust, keeping modelled metrics —
+        and the scheduler's single-vs-sharded estimates — comparable across
+        backends.
+        """
+        plan = context.plan
+        estimate: PerfEstimate = plan.estimate
+        elapsed = max(estimate.t_total, 1e-30)
+        utilization = derive_utilization(
+            compute_seconds=estimate.t_compute,
+            memory_seconds=estimate.t_memory,
+            elapsed_seconds=elapsed,
+            traffic=estimate.traffic,
+            spec=context.spec,
+            threads_per_block=plan.threads_per_block,
+            blocks=plan.blocks,
+            registers_per_thread=plan.registers_per_thread,
+        )
+        return LaunchResult(
+            name=context.launch_name,
+            output=None,
+            elapsed_seconds=elapsed,
+            compute_seconds=estimate.t_compute,
+            memory_seconds=estimate.t_memory,
+            fragment_ops=estimate.n_mma,
+            utilization=utilization,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-def _modelled_launch(context: "Any") -> LaunchResult:
-    """A :class:`LaunchResult` billing the plan's roofline estimate.
-
-    Host-side backends (``numpy`` / ``numba``) skip the functional device
-    simulation, so they have no measured fragment path to derive timing
-    from; they bill the same per-sweep model
-    (:class:`~repro.core.perf_model.PerfEstimate`) the layout search and the
-    device-pool scheduler already trust, keeping modelled metrics — and the
-    scheduler's single-vs-sharded estimates — comparable across backends.
-    ``output`` is ``None``: the sweep assembles the interior in place.
-    """
-    plan = context.plan
-    estimate: PerfEstimate = plan.estimate
-    elapsed = max(estimate.t_total, 1e-30)
-    utilization = derive_utilization(
-        compute_seconds=estimate.t_compute,
-        memory_seconds=estimate.t_memory,
-        elapsed_seconds=elapsed,
-        traffic=estimate.traffic,
-        spec=context.spec,
-        threads_per_block=plan.threads_per_block,
-        blocks=plan.blocks,
-        registers_per_thread=plan.registers_per_thread,
-    )
-    return LaunchResult(
-        name=context.launch_name,
-        output=None,
-        elapsed_seconds=elapsed,
-        compute_seconds=estimate.t_compute,
-        memory_seconds=estimate.t_memory,
-        fragment_ops=estimate.n_mma,
-        utilization=utilization,
-    )
 
 
 class TcuSimBackend(StencilBackend):
@@ -653,6 +663,26 @@ class TcuSimBackend(StencilBackend):
             return result
 
         return sweep
+
+    def price(self, context):
+        """Price the MMA from its operand shapes, by the formulas
+        :func:`~repro.tcu.executor.price_launch` gives
+        :func:`~repro.tcu.executor.execute_launch`: the compressed ``K`` of
+        a slot-table plan, the dense operand's ``K`` otherwise."""
+        plan = context.plan
+        k = plan.metadata.compressed.k if plan.slot_table is not None \
+            else plan.k_operand
+        return price_launch(
+            context.launch_name, plan.engine,
+            mma_count(plan.m_prime, k, plan.n_prime, plan.fragment),
+            fragment=plan.fragment,
+            dtype=plan.dtype,
+            traffic=plan.estimate.traffic,
+            threads_per_block=plan.threads_per_block,
+            blocks=plan.blocks,
+            registers_per_thread=plan.registers_per_thread,
+            spec=context.spec,
+        )
 
 
 class NumpyBackend(StencilBackend):
@@ -682,7 +712,7 @@ class NumpyBackend(StencilBackend):
         shape = compiled.grid_shape
         radius = pattern.radius
         interior = context.interior
-        template = _modelled_launch(context)
+        template = context.priced_launch
 
         taps = [
             (float(weight),
@@ -748,7 +778,7 @@ class NumbaBackend(StencilBackend):
         shape = compiled.grid_shape
         radius = pattern.radius
         interior = context.interior
-        template = _modelled_launch(context)
+        template = context.priced_launch
 
         strides = np.asarray(
             [int(np.prod(shape[axis + 1:], dtype=np.int64))

@@ -15,10 +15,11 @@ generated kernel's stages:
    accumulates its compile-time slot table
    (:meth:`~repro.core.codegen.SlotTable.multiply`) — one contiguous run of
    the staged buffer per retained 2:4 slot, in fp32 and slot order,
-   skipping zero-weight slots when the buffer is finite — and attaches the
-   launch priced once per context from the plan's shapes; a dense plan
-   runs the functional device model
-   (:func:`~repro.tcu.executor.execute_launch`);
+   skipping zero-weight slots when the buffer is finite; a dense plan
+   runs ``B'`` through the dense MMA model
+   (:func:`~repro.tcu.dense_mma.dense_mma`).  Both attach the launch priced
+   once per context from the plan's shapes
+   (:attr:`SweepContext.priced_launch`);
 3. :func:`assemble_step` — scatter ``D`` into the grid interior in place:
    row ``a`` of ``D`` holds intra-tile offset ``o`` (row-major over the
    tile extents ``r``) of every tile, so it is written, cropped to the
@@ -47,9 +48,9 @@ from repro.core.pipeline import CompiledStencil, StencilRunResult
 from repro.stencils.grid import Grid
 from repro.stencils.reference import stencil_points_updated
 from repro.tcu.counters import combine_utilization
-from repro.tcu.executor import KernelLaunch, LaunchResult, execute_launch, price_launch
+from repro.tcu.dense_mma import dense_mma
+from repro.tcu.executor import LaunchResult
 from repro.tcu.spec import GPUSpec
-from repro.tcu.timing import mma_count
 from repro.util.validation import require
 
 __all__ = [
@@ -111,26 +112,17 @@ class SweepContext:
 
     @cached_property
     def priced_launch(self) -> LaunchResult:
-        """The modelled timing of one slot-table sweep, priced from shapes.
+        """The modelled launch of one sweep of this plan (``output`` is
+        ``None``): the backend's
+        :meth:`~repro.core.codegen.StencilBackend.price`, priced once per
+        context.
 
-        Every sweep of a plan issues the same launch, so it is priced once
-        per context — by the formulas :func:`execute_launch` uses, with
-        ``fragment_ops`` from the operand shapes — and each sweep attaches
-        its output to it.
+        Every sweep of a plan bills the same launch, so every sweep returns
+        this one — on the ``tcu-sim`` path with the sweep's output attached
+        — and the sharded engine prices a layout's bill from it once,
+        without sweeping.
         """
-        plan = self.plan
-        return price_launch(
-            self.launch_name, plan.engine,
-            mma_count(plan.m_prime, plan.metadata.compressed.k, plan.n_prime,
-                      plan.fragment),
-            fragment=plan.fragment,
-            dtype=plan.dtype,
-            traffic=plan.estimate.traffic,
-            threads_per_block=plan.threads_per_block,
-            blocks=plan.blocks,
-            registers_per_thread=plan.registers_per_thread,
-            spec=self.spec,
-        )
+        return get_backend(self.compiled.backend).price(self)
 
     @cached_property
     def scatter(self) -> Tuple[Tuple[Tuple[slice, ...], Tuple[slice, ...]], ...]:
@@ -192,27 +184,18 @@ def gather_step(context: SweepContext, current: np.ndarray) -> np.ndarray:
 def mma_step(context: SweepContext, b_operand: np.ndarray) -> LaunchResult:
     """Stage 2: run the fragment MMA on the simulated device.
 
-    A plan with a slot table multiplies the staged buffer slot by slot and
-    reuses the context's :attr:`~SweepContext.priced_launch`; a dense plan
-    executes a :class:`KernelLaunch` on the functional device model.
+    A plan with a slot table multiplies the staged buffer slot by slot; a
+    dense plan runs ``B'`` through the dense MMA model.  Either way the
+    launch is the context's :attr:`~SweepContext.priced_launch` with the
+    product attached.
     """
     plan = context.plan
     if plan.slot_table is not None:
-        return replace(context.priced_launch,
-                       output=plan.slot_table.multiply(b_operand))
-    launch = KernelLaunch(
-        name=context.launch_name,
-        engine=plan.engine,
-        a=plan.a_operand,
-        b=b_operand,
-        fragment=plan.fragment,
-        dtype=plan.dtype,
-        traffic=plan.estimate.traffic,
-        threads_per_block=plan.threads_per_block,
-        blocks=plan.blocks,
-        registers_per_thread=plan.registers_per_thread,
-    )
-    return execute_launch(launch, context.spec)
+        output = plan.slot_table.multiply(b_operand)
+    else:
+        output = dense_mma(plan.a_operand, b_operand, plan.fragment,
+                           dtype=plan.dtype).d
+    return replace(context.priced_launch, output=output)
 
 
 def assemble_step(context: SweepContext, result: LaunchResult,

@@ -37,25 +37,34 @@ One schedule, priced and executed by the same code.  A
 then ``(stage, window mult)`` sweeps — and a :class:`ShardGeometry` holds
 a partition's per-shard halo seconds and cell counts.  :class:`RoundBill`
 is the one per-sweep billing rule: :func:`price_schedule` walks a schedule
-with modelled per-window seconds, and the one round loop both
-:class:`ShardedExecutor` and :class:`repro.programs.ShardedProgramRunner`
-run through (:meth:`ShardedRunner._run_schedule`) bills each sweep from the
-shards' launch seconds, so a model and a run of one schedule agree to the
-bit.
+with modelled per-window seconds — or with a layout's phase tables, whose
+plan-constant launches bill every modelled field of a run.  The one round
+loop both :class:`ShardedExecutor` and
+:class:`repro.programs.ShardedProgramRunner` run through
+(:meth:`ShardedRunner._run_schedule`) takes its whole bill from that walk,
+so a model and a run of one schedule agree to the bit by construction.
 
 Everything a run derives from (plan, cluster, policy) alone — the
-partition with its precomputed exchange ops, the round groups, one
-per-window phase table per stage and the :class:`ShardGeometry` — is a
+partition with its precomputed extraction blocks and exchange ops, the
+round groups, one per-window phase table per stage (each phase with its
+sweep's priced launch) and the :class:`ShardGeometry` — is a
 :class:`ShardLayout`, built once per *layout key* (content, not identity;
 see each runner's ``_layout_key``) and memoized on the runner's compile
 cache (:meth:`repro.service.CompileCache.shard_layout`), so per-window
-plans are compiled (or looked up) on a memo miss only and a warm sharded
-run moves only data.  Without a cache nothing is memoized.  Hits and
-misses are counted as ``engine.shard_layout_hits`` /
-``engine.shard_layout_misses`` in the global metrics registry and tagged
-``memo="hit"|"miss"`` on the ``shard_compile`` span, whose duration — also
-reported as ``overhead_seconds["shard_compile"]`` — is the build on a miss
-and the lookup on a hit.
+plans are compiled (or looked up) on a memo miss only.  The layout in turn
+memoizes the bill of each ``(schedule, overlap)`` it runs — ``overlap`` is
+a runner setting outside the layout key — under a lock, dropping the
+least recently used once its bills cover :data:`_BILL_SWEEPS` sweeps.
+Each sweep's launch comes from the backend's
+:meth:`~repro.core.codegen.StencilBackend.price`.  A warm sharded run
+therefore only moves data: it extracts the shard slabs, exchanges halos,
+sweeps and assembles.  Without
+a cache nothing is memoized.  Hits and misses are counted as
+``engine.shard_layout_hits`` / ``engine.shard_layout_misses`` in the
+global metrics registry and tagged ``memo="hit"|"miss"`` on the
+``shard_compile`` span, whose duration — also reported as
+``overhead_seconds["shard_compile"]`` — is the build on a miss and the
+lookup on a hit.
 """
 
 from __future__ import annotations
@@ -64,7 +73,9 @@ import contextlib
 import functools
 import itertools
 import math
+import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
@@ -193,15 +204,17 @@ class ShardedRunResult(StencilRunResult):
 
 @dataclass(frozen=True)
 class _ShardPhase:
-    """Per-(shard, window-mult) sweep state: the compiled context plus the
-    precomputed window geometry."""
+    """Per-(shard, window-mult) sweep state: the compiled context, the
+    precomputed window geometry and the sweep's priced launch."""
 
     context: SweepContext
     window: Tuple[slice, ...]
     writeback: Tuple[slice, ...]
     whole: bool                 #: window covers the entire local array
     dram_bytes: float           #: modelled DRAM traffic of one sweep
-    seconds: float              #: modelled sweep time of the window plan
+    #: the plan-constant launch every sweep of the window returns, priced
+    #: once (``output`` is ``None``; see :attr:`SweepContext.priced_launch`)
+    launch: LaunchResult
 
 
 def build_shard_phases(compiled: CompiledStencil, spec: MultiDeviceSpec,
@@ -251,8 +264,7 @@ def build_shard_phases(compiled: CompiledStencil, spec: MultiDeviceSpec,
         for mult, (window, shape, whole) in enumerate(rows):
             plan = cache.get_or_compile(request_for(shape))
             context = prepare_sweep(plan, spec.device)
-            estimate = plan.plan.estimate
-            traffic = estimate.traffic
+            traffic = plan.plan.estimate.traffic
             shard_rows.append(_ShardPhase(
                 context=context,
                 window=window,
@@ -261,7 +273,7 @@ def build_shard_phases(compiled: CompiledStencil, spec: MultiDeviceSpec,
                 dram_bytes=float(traffic.global_bytes
                                  + traffic.metadata_bytes
                                  + traffic.lut_bytes),
-                seconds=estimate.t_total,
+                launch=context.priced_launch,
             ))
         phases.append(shard_rows)
     return phases
@@ -301,6 +313,7 @@ class ShardGeometry:
     owned_cells: Tuple[int, ...]
     #: computed cells of each ``[shard][window mult]`` sweep window
     window_cells: Tuple[Tuple[int, ...], ...]
+    exchange_bytes: int = 0             #: bytes one exchange moves
 
     @classmethod
     def build(cls, partition: GridPartition, spec: MultiDeviceSpec,
@@ -330,6 +343,7 @@ class ShardGeometry:
                 tuple(math.prod(partition.window_out_shape(shard, mult))
                       for mult in range(partition.halo_depth))
                 for shard in partition.shards),
+            exchange_bytes=partition.halo_elements_per_exchange() * itemsize,
         )
 
     @property
@@ -423,6 +437,12 @@ class RoundBill:
     with overlap (the exchange rides under the interior phase), or the
     slowest shard plus one exchange without; every other sweep costs its
     slowest shard.
+
+    Billed from a layout's phase tables (:attr:`ShardLayout.phases`), the
+    bill also carries every other modelled field of a
+    :class:`ShardedRunResult` — the critical compute and memory paths, the
+    DRAM bytes, and, once :func:`price_schedule` ends the walk, the
+    per-shard launch totals and the combined utilization.
     """
 
     geometry: ShardGeometry
@@ -431,10 +451,28 @@ class RoundBill:
     compute_seconds: float = 0.0    #: critical path of the sweeps alone
     exposed_seconds: float = 0.0    #: exchange time overlap could not hide
     halo_seconds: float = 0.0       #: interconnect time of every exchange
+    halo_bytes: float = 0.0         #: bytes every exchange moved
     exchange_count: int = 0
     redundant_cells: int = 0        #: ghost-zone cells computed redundantly
     sweeps: int = 0
+    #: per sweep ``(slowest shard seconds, exposed exchange seconds or
+    #: None, wall seconds after it)`` — what a run's spans report
+    records: List[Tuple[float, Optional[float], float]] = field(
+        default_factory=list)
+    #: per-sweep sums of the slowest shard's compute / memory seconds
+    #: (billed from launches only)
+    compute_path: float = 0.0
+    memory_path: float = 0.0
+    dram_bytes: float = 0.0         #: modelled DRAM traffic of every sweep
+    #: each shard's summed launches (:func:`summarize_launches`) and every
+    #: launch's utilization weighted by its elapsed seconds (billed from
+    #: launches only; set when the walk ends)
+    shard_totals: Tuple[Any, ...] = ()
+    utilization: Optional[UtilizationReport] = None
     _pending: bool = field(default=False, init=False, repr=False)
+    #: each shard's launches in sweep order, held only during the walk
+    _launches: Tuple[List[LaunchResult], ...] = field(
+        default=(), init=False, repr=False, compare=False)
 
     def exchange(self) -> bool:
         """Bill one halo exchange.  A single shard crosses no link, so
@@ -443,12 +481,20 @@ class RoundBill:
             return False
         self.exchange_count += 1
         self.halo_seconds += self.geometry.halo_seconds_per_exchange
+        self.halo_bytes += self.geometry.exchange_bytes
         self._pending = True
         return True
 
-    def sweep(self, seconds: Sequence[float], mult: int) -> Optional[float]:
-        """Bill one sweep from its per-shard ``seconds`` on window ``mult``;
-        returns the exposed exchange time when an exchange preceded it."""
+    def sweep(self, costs: Sequence[Union[float, _ShardPhase]],
+              mult: int) -> Optional[float]:
+        """Bill one sweep on window ``mult`` from its per-shard ``costs`` —
+        modelled seconds, or the shards' phases, whose priced launches also
+        bill the critical paths, DRAM bytes and per-shard launches.
+        Returns the exposed exchange time when an exchange preceded it."""
+        if isinstance(costs[0], _ShardPhase):
+            seconds = self._bill_launches(costs)
+        else:
+            seconds = costs
         geometry = self.geometry
         slowest = max(seconds)
         self.sweeps += 1
@@ -458,6 +504,7 @@ class RoundBill:
         ) - geometry.out_cells
         if not self._pending:
             self.wall_seconds += slowest
+            self.records.append((slowest, None, self.wall_seconds))
             return None
         self._pending = False
         if self.overlap:
@@ -476,7 +523,31 @@ class RoundBill:
             step_wall = slowest + exposure
         self.wall_seconds += step_wall
         self.exposed_seconds += exposure
+        self.records.append((slowest, exposure, self.wall_seconds))
         return exposure
+
+    def _bill_launches(self, phases: Sequence[_ShardPhase]) -> List[float]:
+        launches = [phase.launch for phase in phases]
+        if not self._launches:
+            self._launches = tuple([] for _ in launches)
+        for shard_launches, launch in zip(self._launches, launches):
+            shard_launches.append(launch)
+        self.compute_path += max(r.compute_seconds for r in launches)
+        self.memory_path += max(r.memory_seconds for r in launches)
+        self.dram_bytes += sum(phase.dram_bytes for phase in phases)
+        return [r.elapsed_seconds for r in launches]
+
+    def _finish(self) -> None:
+        """End the walk: total the launches billed so far once, then drop
+        them — a memoized bill keeps only its totals and records."""
+        if not self._launches:
+            return
+        self.shard_totals = tuple(summarize_launches(launches)
+                                  for launches in self._launches)
+        every = [r for launches in self._launches for r in launches]
+        self.utilization = combine_utilization(
+            [r.utilization for r in every], [r.elapsed_seconds for r in every])
+        self._launches = ()
 
     @property
     def per_sweep_seconds(self) -> float:
@@ -496,31 +567,43 @@ class RoundBill:
 
 
 def price_schedule(schedule: RoundSchedule, geometry: ShardGeometry,
-                   seconds: Mapping[str, Sequence[Sequence[float]]],
+                   seconds: Mapping[str, Sequence[Sequence[Any]]],
                    overlap: bool = True) -> RoundBill:
     """Walk ``schedule`` and bill each sweep from ``seconds[stage][shard]
     [mult]`` — :meth:`ShardGeometry.linear_seconds` for the compile-free
     estimate, :meth:`ShardLayout.window_seconds` for exactly what a run of
-    that layout bills."""
+    that layout bills, or a layout's phase tables
+    (:attr:`ShardLayout.phases`) for the run's whole bill."""
     bill = RoundBill(geometry, overlap)
     for round_ in schedule.rounds:
         if round_.exchange:
             bill.exchange()
         for stage, mult in round_.sweeps:
             bill.sweep([row[mult] for row in seconds[stage]], mult)
+    bill._finish()
     return bill
 
 
 # --------------------------------------------------------------------- #
 # layouts
 # --------------------------------------------------------------------- #
+#: Sweeps the bills one :class:`ShardLayout` memoizes may cover in all: a
+#: bill keeps one ``records`` entry (~110 bytes) per sweep, so this caps a
+#: layout's bills near 0.5 MB whatever mix of iteration counts it serves.
+#: The least recently used bill goes first; the newest always stays.
+_BILL_SWEEPS = 4096
+
+
 @dataclass(frozen=True)
 class ShardLayout:
     """Everything a sharded run derives from (plan, cluster, policy) alone.
 
     Built on a memo miss and shared read-only by every later run with the
     same layout key, including concurrent ones.  The partition keeps its
-    precomputed exchange ops from run to run.
+    precomputed extraction blocks and exchange ops from run to run, each
+    phase its priced launch, and the layout memoizes the bill of every
+    ``(schedule, overlap)`` it ran (:meth:`_bill`), so a warm run only moves
+    data.
     """
 
     partition: GridPartition
@@ -531,12 +614,40 @@ class ShardLayout:
     #: stage is keyed ``""``
     phases: Dict[str, List[List[_ShardPhase]]]
     geometry: ShardGeometry
+    _bills: "OrderedDict[Tuple[RoundSchedule, bool], RoundBill]" = field(
+        default_factory=OrderedDict, init=False, compare=False, repr=False)
+    _bills_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, compare=False,
+        repr=False)
 
     def window_seconds(self) -> Dict[str, List[List[float]]]:
         """Per-stage ``[shard][mult]`` modelled seconds of each window plan
         — what a run of this layout bills per window sweep."""
-        return {stage: [[phase.seconds for phase in row] for row in table]
+        return {stage: [[phase.launch.elapsed_seconds for phase in row]
+                        for row in table]
                 for stage, table in self.phases.items()}
+
+    def _bill(self, schedule: RoundSchedule, overlap: bool) -> RoundBill:
+        """The bill of running ``schedule`` on this layout:
+        :func:`price_schedule` over the phase tables, priced once per
+        ``(schedule, overlap)`` and memoized (covering at most
+        :data:`_BILL_SWEEPS` sweeps, unless the newest bill alone does).
+        ``overlap`` is a runner setting outside the layout key, hence in
+        the memo key.  Racing runs may both price a cold key; the bills are
+        equal and the first stored is kept."""
+        key = (schedule, overlap)
+        with self._bills_lock:
+            bill = self._bills.get(key)
+            if bill is not None:
+                self._bills.move_to_end(key)
+                return bill
+        bill = price_schedule(schedule, self.geometry, self.phases, overlap)
+        with self._bills_lock:
+            bill = self._bills.setdefault(key, bill)
+            retained = sum(kept.sweeps for kept in self._bills.values())
+            while retained > _BILL_SWEEPS and len(self._bills) > 1:
+                retained -= self._bills.popitem(last=False)[1].sweeps
+        return bill
 
 
 _LAYOUT_COUNTERS = {
@@ -632,7 +743,7 @@ class ShardedRunner:
         return spec, layout, end - start
 
     def _run_schedule(self, layout: ShardLayout, schedule: RoundSchedule,
-                      data: np.ndarray, itemsize: int,
+                      data: np.ndarray,
                       throughput: Callable[[float], Tuple[float, float]], *,
                       step_attrs: Optional[Dict[str, Any]] = None,
                       redundant_scale: int = 1,
@@ -640,40 +751,41 @@ class ShardedRunner:
         """Execute ``schedule`` over ``layout`` from the global array
         ``data``: the one round loop of sharded execution.
 
-        Each round opens with its halo exchange (when it has one), then
-        sweeps every shard on the round's windows, billing each sweep
-        through :class:`RoundBill` from the shards' launch seconds.  Records
-        ``round`` spans with their ``halo_exchange``, ``sweep`` and
-        ``overlap_exposed`` children under the ambient span; with
-        ``step_attrs`` (a program run), rounds nest under one
-        ``program_step`` span per step carrying those attributes.
-        ``throughput(elapsed)`` gives the run's ``(GStencil/s, GFlops/s)``
-        and ``fields`` the result fields only the caller knows.
+        A run only moves data: it extracts the shard slabs, then each round
+        opens with its halo exchange (when it has one) and sweeps every
+        shard on the round's windows, and finally the shard interiors are
+        assembled.  Every modelled number comes from the layout's memoized
+        bill of ``(schedule, overlap)`` (:meth:`ShardLayout._bill`), priced
+        from the phases' plan-constant launches — so the run's bill *is*
+        :func:`price_schedule` over the layout.  Records ``round`` spans
+        with their ``halo_exchange``, ``sweep`` and ``overlap_exposed``
+        children under the ambient span, their ``device_seconds`` read off
+        the bill's per-sweep records; with ``step_attrs`` (a program run),
+        rounds nest under one ``program_step`` span per step carrying those
+        attributes.  ``throughput(elapsed)`` gives the run's
+        ``(GStencil/s, GFlops/s)`` and ``fields`` the result fields only
+        the caller knows.
         """
         partition = layout.partition
         radius = partition.radius
         n_shards = partition.n_shards
-        bill = RoundBill(layout.geometry, self.overlap)
+        bill = layout._bill(schedule, self.overlap)
+        records = bill.records
         halo_seconds = layout.geometry.halo_seconds_per_exchange
+        exchange_bytes = layout.geometry.exchange_bytes
         # One ambient-context check up front: round/exchange/sweep spans are
         # recorded on this (round-loop) thread, which carries the trace
         # context — the shard pool threads never need it.
         trace = current_span()
         tracer = trace.tracer if trace is not None else None
 
-        # the initial halo ring is derived state under periodic/reflect —
-        # fill it exactly like the single-device executor before extracting
-        # the shard slabs, which then stay resident for the whole run;
-        # Dirichlet reads the grid as-is (extract and assemble both copy, so
-        # no mutation escapes either way)
-        if partition.boundary == "dirichlet":
-            base = data
-        else:
-            base = apply_boundary(data.copy(), radius, partition.boundary)
+        # the run's own copy of the grid: the initial halo ring is derived
+        # state under periodic/reflect, filled exactly like the
+        # single-device executor (a no-op under Dirichlet) before the shard
+        # slabs are extracted — they stay resident for the whole run — and
+        # the shard interiors are assembled back into it
+        base = apply_boundary(data.copy(), radius, partition.boundary)
         locals_ = partition.extract(base)
-        shard_launches: List[List[LaunchResult]] = [
-            [] for _ in range(n_shards)]
-        compute_crit = memory_crit = halo_bytes = dram_bytes = 0.0
 
         # one pool for the whole run — per-sweep pool churn would dominate
         # at small shard sizes
@@ -687,16 +799,17 @@ class ShardedRunner:
             return run_shard_phase(phase, local, radius)
 
         sweep_index = 0
+        wall = 0.0      # the bill's wall seconds after the last sweep run
         steps = itertools.groupby(schedule.rounds, key=lambda r: r.step)
         with pool or contextlib.nullcontext():
             for step, rounds in steps:
                 step_span = tracer.begin(
                     "program_step", parent=trace, step=step, **step_attrs,
                 ) if tracer is not None and step_attrs is not None else None
-                step_wall_before = bill.wall_seconds
+                step_wall_before = wall
                 for round_index, round_ in enumerate(rounds):
                     round_span = None
-                    round_wall_before = bill.wall_seconds
+                    round_wall_before = wall
                     if tracer is not None:
                         attrs: Dict[str, Any] = {}
                         if step_attrs is not None:
@@ -709,18 +822,19 @@ class ShardedRunner:
                         # one exchange validates the whole round.  A single
                         # shard still refreshes its local faces (reflect
                         # mirrors, periodic self-wraps) but crosses no
-                        # link, so nothing is billed or counted
+                        # link, so nothing is billed or traced
                         exchange_start = time.perf_counter()
-                        exchanged = partition.exchange_halos(locals_)
-                        if bill.exchange():
-                            halo_bytes += exchanged * itemsize
-                            if tracer is not None:
-                                tracer.record(
-                                    "halo_exchange", exchange_start,
-                                    time.perf_counter(), parent=round_span,
-                                    device_seconds=halo_seconds,
-                                    bytes=exchanged * itemsize,
-                                    overlap=self.overlap)
+                        partition.exchange_halos(locals_)
+                        # the bill says whether it billed this exchange:
+                        # the round's first sweep record then carries the
+                        # exchange's exposure
+                        if tracer is not None \
+                                and records[sweep_index][1] is not None:
+                            tracer.record(
+                                "halo_exchange", exchange_start,
+                                time.perf_counter(), parent=round_span,
+                                device_seconds=halo_seconds,
+                                bytes=exchange_bytes, overlap=self.overlap)
                     for j, (stage, mult) in enumerate(round_.sweeps):
                         if j > 0:
                             # exchanged faces live off redundant compute
@@ -730,24 +844,17 @@ class ShardedRunner:
                             partition.refresh_local_boundaries(locals_)
                         table = layout.phases[stage]
                         sweep_start = time.perf_counter()
-                        results = list(shard_map(
-                            sweep_shard, [p[mult] for p in table], locals_))
+                        list(shard_map(sweep_shard,
+                                       [p[mult] for p in table], locals_))
                         sweep_end = time.perf_counter()
-                        for launches, result in zip(shard_launches, results):
-                            launches.append(result)
-                        elapsed = [r.elapsed_seconds for r in results]
-                        compute_crit += max(r.compute_seconds
-                                            for r in results)
-                        memory_crit += max(r.memory_seconds for r in results)
-                        dram_bytes += sum(p[mult].dram_bytes for p in table)
-                        exposure = bill.sweep(elapsed, mult)
+                        device_seconds, exposure, wall = records[sweep_index]
                         if tracer is not None:
                             attrs = {"sweep": sweep_index}
                             if step_attrs is not None:
                                 attrs["stage"] = stage
                             tracer.record("sweep", sweep_start, sweep_end,
                                           parent=round_span,
-                                          device_seconds=max(elapsed),
+                                          device_seconds=device_seconds,
                                           window_mult=mult, **attrs)
                             if exposure is not None:
                                 # modelled, not a measured interval: zero
@@ -760,41 +867,34 @@ class ShardedRunner:
                                     sweep=sweep_index, overlap=self.overlap)
                         sweep_index += 1
                     if round_span is not None:
-                        round_span.add_device_seconds(
-                            bill.wall_seconds - round_wall_before)
+                        round_span.add_device_seconds(wall - round_wall_before)
                         tracer.end(round_span)
                 if step_span is not None:
-                    step_span.add_device_seconds(
-                        bill.wall_seconds - step_wall_before)
+                    step_span.add_device_seconds(wall - step_wall_before)
                     tracer.end(step_span)
 
-        output = partition.assemble(locals_, base)
+        partition.assemble(locals_, base)
         # under periodic/reflect the single-device executor refreshes the
         # halo ring after the final sweep too; the fill is a pure function
         # of the interior, so applying it to the assembled output lands on
         # the bit-identical ring (no-op under Dirichlet)
-        apply_boundary(output, radius, partition.boundary)
+        apply_boundary(base, radius, partition.boundary)
 
-        shard_totals = [summarize_launches(launches)
-                        for launches in shard_launches]
-        all_launches = [r for launches in shard_launches for r in launches]
         gstencil, gflops = throughput(bill.wall_seconds)
         return ShardedRunResult(
-            output=output,
+            output=base,
             elapsed_seconds=bill.wall_seconds,
-            compute_seconds=compute_crit,
-            memory_seconds=memory_crit,
+            compute_seconds=bill.compute_path,
+            memory_seconds=bill.memory_path,
             gstencil_per_second=gstencil,
             gflops_per_second=gflops,
-            utilization=combine_utilization(
-                [r.utilization for r in all_launches],
-                [r.elapsed_seconds for r in all_launches]),
+            utilization=bill.utilization,
             leftover_sweeps=0,
             shard_grid=partition.shard_grid,
             shard_elapsed_seconds=tuple(t.elapsed_seconds
-                                        for t in shard_totals),
-            shard_utilization=tuple(t.utilization for t in shard_totals),
-            halo_exchange_bytes=halo_bytes,
+                                        for t in bill.shard_totals),
+            shard_utilization=tuple(t.utilization for t in bill.shard_totals),
+            halo_exchange_bytes=bill.halo_bytes,
             halo_exchange_seconds=bill.halo_seconds,
             halo_exposed_seconds=bill.exposed_seconds,
             halo_exchange_count=bill.exchange_count,
@@ -802,7 +902,7 @@ class ShardedRunner:
             overlap=self.overlap,
             redundant_points_updated=float(bill.redundant_cells)
             * redundant_scale,
-            device_traffic_bytes=dram_bytes,
+            device_traffic_bytes=bill.dram_bytes,
             **fields,
         )
 
@@ -929,7 +1029,7 @@ class ShardedExecutor(ShardedRunner):
         overhead["shard_compile"] = shard_compile_seconds
         return self._run_schedule(
             layout, RoundSchedule.kernel(sweeps, layout.partition.halo_depth),
-            grid.data, compiled.plan.dtype.itemsize,
+            grid.data,
             functools.partial(throughput_metrics, compiled, points),
             redundant_scale=compiled.temporal_fusion,
             iterations=iterations,

@@ -352,7 +352,7 @@ class ShardedProgramRunner(ShardedRunner):
         points, flops = _program_throughput(plan, steps)
         schedule = RoundSchedule.program(layout.groups, steps)
         return self._run_schedule(
-            layout, schedule, grid.data, plan.dtype.itemsize,
+            layout, schedule, grid.data,
             lambda elapsed: (points / elapsed / 1e9, flops / elapsed / 1e9)
             if elapsed > 0 else (0.0, 0.0),
             step_attrs={"program": plan.program.name,

@@ -39,7 +39,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from repro.util.validation import require, require_positive_int
+from repro.util.validation import require, require_non_negative_int
 
 __all__ = [
     "BoundaryCondition",
@@ -152,7 +152,9 @@ def apply_boundary(data: np.ndarray, radius: int,
                    boundary: Union[str, BoundaryCondition, None]) -> np.ndarray:
     """Refresh the ``radius``-wide halo ring of ``data`` in place.
 
-    ``dirichlet`` is a no-op (the halo stays whatever it is).  For
+    ``dirichlet`` is a no-op (the halo stays whatever it is), and so is
+    ``radius`` 0 — a fused pattern whose taps cancel down to the centre
+    cell has no ring to fill.  For
     ``periodic``, ``reflect`` and ``neumann(flux=...)`` the fill runs axis by
     axis in increasing order, each strip spanning the full extent of every
     other axis — corner cells therefore receive their diagonal values through
@@ -172,7 +174,8 @@ def apply_boundary(data: np.ndarray, radius: int,
     if boundary == DIRICHLET:
         return data
     flux = boundary_flux(boundary)
-    require_positive_int(radius, "radius")
+    if require_non_negative_int(radius, "radius") == 0:
+        return data
     for size in data.shape:
         interior = int(size) - 2 * radius
         require(interior >= radius,

@@ -49,6 +49,7 @@ for every condition.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -524,46 +525,82 @@ class GridPartition:
         Deep periodic wrap ghosts cover virtual coordinates beyond the
         physical grid; they are filled from the periodic interior image
         (``data``'s own boundary ring already matches the first ``radius``
-        image cells, so the mapping is exact for any ghost width).
+        image cells, so the mapping is exact for any ghost width).  Each
+        local array is a fresh C-contiguous float64 buffer filled by the
+        precomputed slab copies of :attr:`_extract_blocks` — subgrids of
+        neighbouring shards overlap, so a view would alias neighbours'
+        interiors and corrupt the sweep.
         """
         require(tuple(data.shape) == self.grid_shape,
                 f"data shape {tuple(data.shape)} does not match the partition "
                 f"grid {self.grid_shape}")
         locals_ = []
-        for shard in self.shards:
-            ranges = shard.virtual_ranges
-            if all(0 <= a and b <= n
-                   for (a, b), n in zip(ranges, self.grid_shape)):
-                # always copy: subgrids of neighbouring shards overlap, so a
-                # view would alias neighbours' interiors and corrupt the sweep
-                locals_.append(np.array(data[shard.subgrid_slices],
-                                        dtype=np.float64, order="C",
-                                        copy=True))
-                continue
-            indices = []
-            for (a, b), n in zip(ranges, self.grid_shape):
-                coords = np.arange(a, b)
-                interior = n - 2 * self.radius
-                wrapped = self.radius + (coords - self.radius) % interior
-                indices.append(np.where((coords >= 0) & (coords < n),
-                                        coords, wrapped))
-            locals_.append(np.array(data[np.ix_(*indices)], dtype=np.float64,
-                                    order="C", copy=True))
+        for shape, blocks in self._extract_blocks:
+            local = np.empty(shape, dtype=np.float64)
+            for dst, src in blocks:
+                local[dst] = data[src]
+            locals_.append(local)
         return locals_
 
-    def assemble(self, locals_: Sequence[np.ndarray],
-                 base: np.ndarray) -> np.ndarray:
-        """Write every shard's interior back into a copy of ``base``.
+    @cached_property
+    def _extract_blocks(self) -> Tuple[
+            Tuple[Tuple[int, ...],
+                  Tuple[Tuple[Tuple[slice, ...], Tuple[slice, ...]], ...]],
+            ...]:
+        """Per shard: the local array's shape and its ``(dst, src)`` block
+        copies out of the global grid.
 
-        ``base`` supplies the global boundary ring — under Dirichlet that is
+        Along each axis the shard's virtual range splits into a few runs
+        that are contiguous in the physical grid — the in-range coordinates
+        plus each periodic wrap image of the interior (see
+        :meth:`_axis_runs`); the blocks are the product of those runs, so
+        :meth:`extract` builds no index array and does no fancy indexing.
+        """
+        plans = []
+        for shard in self.shards:
+            runs = [self._axis_runs(start, stop, extent)
+                    for (start, stop), extent
+                    in zip(shard.virtual_ranges, self.grid_shape)]
+            blocks = tuple(
+                (tuple(slice(dst, dst + length) for dst, _, length in block),
+                 tuple(slice(src, src + length) for _, src, length in block))
+                for block in itertools.product(*runs))
+            plans.append((shard.subgrid_shape, blocks))
+        return tuple(plans)
+
+    def _axis_runs(self, start: int, stop: int,
+                   extent: int) -> List[Tuple[int, int, int]]:
+        """``(local start, grid start, length)`` runs covering the virtual
+        coordinates ``[start, stop)`` of one axis of ``extent`` cells.
+
+        An in-range coordinate reads itself; one beyond the grid (a deep
+        periodic wrap ghost) reads its periodic interior image.  A run ends
+        wherever the next coordinate's source is not the next grid cell.
+        """
+        interior = extent - 2 * self.radius
+        runs: List[List[int]] = []
+        for local, coord in enumerate(range(start, stop)):
+            source = coord if 0 <= coord < extent \
+                else self.radius + (coord - self.radius) % interior
+            if runs and runs[-1][1] + runs[-1][2] == source:
+                runs[-1][2] += 1
+            else:
+                runs.append([local, source, 1])
+        return [tuple(run) for run in runs]
+
+    def assemble(self, locals_: Sequence[np.ndarray],
+                 out: np.ndarray) -> np.ndarray:
+        """Write every shard's interior into ``out`` in place; returns it.
+
+        ``out`` supplies the global boundary ring — under Dirichlet that is
         the final answer (the ring is held constant, exactly like the
         single-device executor); under ``periodic`` / ``reflect`` the
         executor refreshes the assembled ring from the interior with
-        :func:`repro.stencils.boundary.apply_boundary` afterwards.
+        :func:`repro.stencils.boundary.apply_boundary` afterwards.  The
+        caller owns ``out``: pass a copy to keep the original grid.
         """
         require(len(locals_) == self.n_shards,
                 f"{len(locals_)} local arrays for {self.n_shards} shards")
-        out = np.array(base, dtype=np.float64, copy=True)
         for shard, local in zip(self.shards, locals_):
             out[shard.interior_global] = local[shard.interior_local]
         return out

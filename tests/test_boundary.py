@@ -110,6 +110,35 @@ class TestApplyBoundary:
         assert out is data
         np.testing.assert_array_equal(data, before)
 
+    @pytest.mark.parametrize("boundary", ["periodic", "reflect",
+                                          neumann(0.25)])
+    def test_zero_radius_is_a_no_op(self, boundary):
+        data = np.arange(30.0).reshape(5, 6)
+        before = data.copy()
+        assert apply_boundary(data, 0, boundary) is data
+        np.testing.assert_array_equal(data, before)
+        with pytest.raises(ValidationError):
+            apply_boundary(data, -1, boundary)
+
+    def test_fused_taps_cancelling_to_the_centre_run(self):
+        """Two fused steps of a star whose neighbour taps are zero leave a
+        centre-only pattern with no ring to fill; the run scales every cell
+        (a fused plan owns a ring of its own radius), so the interior
+        matches the plain sweeps."""
+        from repro import StencilPattern
+
+        pattern = StencilPattern.star(1, 1, weights=[-1 / 3, 0.0, 0.0])
+        grid = make_grid((7,), kind="random", seed=1, boundary="periodic")
+        compiled = compile_stencil(pattern, (7,), boundary="periodic",
+                                   temporal_fusion=2, search=False, r1=2,
+                                   backend="tcu-sim")
+        assert compiled.pattern.radius == 0
+        result = SingleDeviceExecutor().execute(compiled, grid, 4)
+        np.testing.assert_allclose(result.output[1:-1],
+                                   run_stencil_iterations(pattern, grid,
+                                                          4)[1:-1],
+                                   rtol=1e-2)
+
     def test_fill_is_in_place_and_interior_untouched(self):
         data = np.random.default_rng(2).random((20, 20))
         interior = data[2:-2, 2:-2].copy()

@@ -204,6 +204,69 @@ class TestShardedRoundSpans:
                    if s.name == "sweep")
 
 
+#: The spans the sharded round loop records, their device seconds read off
+#: the layout's memoized bill.
+LOOP_SPANS = ("program_step", "round", "halo_exchange", "sweep",
+              "overlap_exposed")
+
+
+class TestLoopSpansSurviveTheMemo:
+    """A cold sharded solve (layout and bill built) and a warm one (both
+    memoized) record the same loop spans, nested the same way, with equal
+    modelled device seconds."""
+
+    def _loop_spans(self, tracer, session, problem):
+        solution = session.solve(problem, SolvePolicy(mode="sharded",
+                                                      halo_depth=2))
+        spans = tracer.spans(solution.provenance.trace_id)
+        assert validate_spans(spans) == []
+        by_id = {s.span_id: s for s in spans}
+        return [(s.name, by_id[s.parent_id].name, s.device_seconds)
+                for s in spans if s.name in LOOP_SPANS]
+
+    def _cold_and_warm(self, tracer, problem):
+        session = StencilSession(SessionConfig(devices=4, tracer=tracer))
+        return [self._loop_spans(tracer, session, problem)
+                for _ in range(2)]
+
+    def test_kernel(self, tracer):
+        grid = make_grid((96, 96), kind="random", seed=5,
+                         boundary="periodic")
+        cold, warm = self._cold_and_warm(
+            tracer, Problem(heat2d_pattern(), grid, iterations=6))
+        assert {name for name, _, _ in cold} == set(LOOP_SPANS[1:])
+        assert warm == cold
+
+    def test_chain_program(self, tracer):
+        from repro import StencilProgram
+
+        blur = StencilPattern.box(2, 1, weights=[1.0 / 9.0] * 9)
+        program = StencilProgram.chain(
+            "heat-blur-heat", [("heat", heat2d_pattern()), ("blur", blur),
+                               ("relax", heat2d_pattern())])
+        grid = make_grid((66, 66), kind="random", seed=5,
+                         boundary="periodic")
+        cold, warm = self._cold_and_warm(
+            tracer, Problem(program=program, grid=grid, iterations=3))
+        assert {name for name, _, _ in cold} == set(LOOP_SPANS)
+        assert warm == cold
+
+
+    def test_one_shard_traces_no_exchange(self, tracer):
+        """A single shard refreshes its own faces but crosses no link: its
+        bill prices no exchange, so its rounds record none."""
+        session = StencilSession(SessionConfig(devices=1, tracer=tracer))
+        grid = make_grid((66, 66), kind="random", seed=5,
+                         boundary="periodic")
+        spans = self._loop_spans(
+            tracer, session, Problem(heat2d_pattern(), grid, iterations=6))
+        names = [name for name, _, _ in spans]
+        # every round after the first opens with an exchange
+        assert names.count("round") > 1 and names.count("sweep") == 6
+        assert "halo_exchange" not in names
+        assert "overlap_exposed" not in names
+
+
 class TestDisabledTracingPath:
     def test_untraced_session_leaves_no_trace(self):
         session = StencilSession(SessionConfig(devices=2))

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.stencils.boundary import apply_boundary
+from repro.stencils.boundary import apply_boundary, neumann
 from repro.stencils.partition import (
     GridPartition,
     halo_steps,
@@ -248,7 +249,7 @@ class TestPartitionProperties:
 
             # extract + assemble with no compute is the identity
             locals_ = part.extract(data)
-            assert np.array_equal(part.assemble(locals_, data), data)
+            assert np.array_equal(part.assemble(locals_, data.copy()), data)
 
             # simulate one "sweep": every shard updates its interior with a
             # position-dependent value, then halos are exchanged; afterwards
@@ -279,3 +280,77 @@ class TestPartitionProperties:
             assert len(chunks) == count
             assert all(c % align == 0 for c in chunks[:-1])
             assert all(c >= 1 for c in chunks)
+
+
+# --------------------------------------------------------------------------- #
+# slab-copy extraction
+# --------------------------------------------------------------------------- #
+def _extract_reference(part: GridPartition, data: np.ndarray):
+    """Shard extraction through wrap index arrays and ``np.ix_`` fancy
+    indexing: the plain statement of what :meth:`GridPartition.extract`
+    computes with slab copies."""
+    locals_ = []
+    for shard in part.shards:
+        indices = []
+        for (a, b), n in zip(shard.virtual_ranges, part.grid_shape):
+            coords = np.arange(a, b)
+            interior = n - 2 * part.radius
+            wrapped = part.radius + (coords - part.radius) % interior
+            indices.append(np.where((coords >= 0) & (coords < n),
+                                    coords, wrapped))
+        locals_.append(np.array(data[np.ix_(*indices)], dtype=np.float64,
+                                order="C", copy=True))
+    return locals_
+
+
+@st.composite
+def _partition_geometries(draw):
+    ndim = draw(st.integers(1, 3))
+    radius = draw(st.integers(1, 3))
+    shard_grid = tuple(draw(st.integers(1, 3)) for _ in range(ndim))
+    align = tuple(draw(st.integers(1, 4)) for _ in range(ndim))
+    # room for a few deep-halo steps on every multi-shard axis
+    shape = tuple(2 * radius + count * draw(st.integers(max(radius, a),
+                                                         3 * max(radius, a)))
+                  + draw(st.integers(0, 5))
+                  for count, a in zip(shard_grid, align))
+    boundary = draw(st.sampled_from(["dirichlet", "periodic", "reflect",
+                                     neumann(0.25)]))
+    return shape, radius, shard_grid, align, boundary
+
+
+class TestSlabExtraction:
+    """:meth:`GridPartition.extract` copies precomputed slabs; it must match
+    the index-array extraction byte for byte, at every feasible halo
+    depth, and hand out fresh arrays."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(geometry=_partition_geometries(), seed=st.integers(0, 2**31 - 1))
+    def test_matches_index_extraction(self, geometry, seed):
+        shape, radius, shard_grid, align, boundary = geometry
+        data = np.random.default_rng(seed).standard_normal(shape)
+        try:
+            deepest = GridPartition.max_halo_depth(
+                shape, radius, shard_grid, align=align, boundary=boundary)
+        except ValidationError:
+            return  # infeasible random geometry
+        for depth in range(1, deepest + 1):
+            try:
+                part = GridPartition.build(shape, radius, shard_grid,
+                                           align=align, boundary=boundary,
+                                           halo_depth=depth)
+            except ValidationError:
+                continue
+            locals_ = part.extract(data)
+            expected = _extract_reference(part, data)
+            assert len(locals_) == len(expected) == part.n_shards
+            for local, reference, shard in zip(locals_, expected,
+                                               part.shards):
+                assert local.dtype == np.float64
+                assert local.shape == shard.subgrid_shape
+                assert local.flags.c_contiguous
+                assert local.tobytes() == reference.tobytes()
+                assert not np.shares_memory(local, data)
+            for i, local in enumerate(locals_):
+                for other in locals_[i + 1:]:
+                    assert not np.shares_memory(local, other)

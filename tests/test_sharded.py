@@ -350,6 +350,218 @@ def test_priced_schedule_equals_run_bill(kind, boundary, shards, knob,
     assert bill.sweeps == result.sweeps
 
 
+#: Every layout of the bill matrix — kernels ``(boundary, shards, halo
+#: depth)`` and chain programs ``(boundary, 4, fuse)`` — on both backends,
+#: plus a dense fp64 plan, whose tcu-sim sweeps run the dense MMA model.
+_LAYOUT_CASES = [
+    case + (backend, DataType.FP16)
+    for case in dict.fromkeys(c[:4] for c in _KERNEL_BILL_CASES
+                              + _PROGRAM_BILL_CASES)
+    for backend in ("tcu-sim", "numpy")
+] + [("kernel", "periodic", 4, 2, "tcu-sim", DataType.FP64)]
+
+
+@lru_cache(maxsize=None)
+def _layout_work(kind, boundary, backend, dtype):
+    """The compiled kernel (the deep-halo heat plan) or chain program (the
+    bill chain) of one layout case, on an explicit backend, plus its grid."""
+    from repro import compile_program
+
+    if kind == "program":
+        plan, grid = _bill_program(boundary)
+        return compile_program(plan.program, grid,
+                               options={"backend": backend}), grid
+    shape = DEEP_SHAPES[2]
+    pattern = StencilPattern.star(2, 1, weights=[0.6] + [0.1] * 4,
+                                  name="deep-heat-2d")
+    grid = make_grid(shape, kind="random", seed=11, boundary=boundary)
+    return compile_stencil(pattern, shape, boundary=boundary,
+                           backend=backend, dtype=dtype, search=False,
+                           r1=8, r2=8), grid
+
+
+def _layout_run(case, cache, overlap=True):
+    """One run of ``case``: 5 kernel iterations (a partial last round at
+    depths 2 and 3) or 2 program steps."""
+    from repro import ShardedProgramRunner
+
+    kind, boundary, shards, knob, backend, dtype = case
+    work, grid = _layout_work(kind, boundary, backend, dtype)
+    if kind == "kernel":
+        runner = ShardedExecutor(shards, shard_grid=DEEP_SHARDS[2][shards],
+                                 cache=cache, halo_depth=knob,
+                                 overlap=overlap)
+        return runner, runner.execute(work, grid, 5)
+    runner = ShardedProgramRunner(shards, cache=cache, fuse=knob,
+                                  overlap=overlap)
+    return runner, runner.execute(work, grid, 2)
+
+
+@pytest.mark.parametrize(
+    "case", _LAYOUT_CASES,
+    ids=lambda case: "-".join(str(getattr(v, "value", v)) for v in case))
+class TestPricedLaunches:
+    """A layout prices its bill once from its phases' launches, so those
+    launches must be exactly what the sweeps return, and a warm run —
+    memoized layout and bill — must equal a cold one."""
+
+    def test_phase_launch_is_what_the_sweep_returns(self, case):
+        from repro.engine.sharded import run_shard_phase
+        from repro.stencils.boundary import apply_boundary
+
+        runner, _ = _layout_run(case, CompileCache())
+        work, grid = _layout_work(*case[:2], *case[4:])
+        layout = runner.layout(work)
+        partition = layout.partition
+        if case[5] is DataType.FP64:
+            assert layout.phases[""][0][0].context.plan.engine == "dense_mma"
+        base = apply_boundary(grid.data.copy(), partition.radius,
+                              partition.boundary)
+        for table in layout.phases.values():
+            for row, local in zip(table, partition.extract(base)):
+                for phase in row:
+                    swept = run_shard_phase(phase, local.copy(),
+                                            partition.radius)
+                    assert phase.launch.output is None
+                    assert dataclasses.replace(swept, output=None) \
+                        == phase.launch
+
+    def test_warm_run_equals_cold_run(self, case):
+        _, cold = _layout_run(case, CompileCache())
+        cache = CompileCache()
+        # the layout key leaves out overlap, so the bill memo must key it
+        _layout_run(case, cache, overlap=False)
+        runner, warm_layout = _layout_run(case, cache)
+        _, warm = _layout_run(case, cache)
+        assert layout_facts(warm_layout) == layout_facts(cold)
+        assert layout_facts(warm) == layout_facts(cold)
+
+        # the run's bill is price_schedule over the layout's phase tables
+        work, _ = _layout_work(*case[:2], *case[4:])
+        layout = runner.layout(work)
+        schedule = RoundSchedule.kernel(5, layout.partition.halo_depth) \
+            if case[0] == "kernel" else RoundSchedule.program(layout.groups, 2)
+        assert layout._bill(schedule, True) == price_schedule(
+            schedule, layout.geometry, layout.phases, True)
+        assert len(layout._bills) == 2
+
+
+def test_racing_runs_on_a_cold_layout_agree():
+    """Threads racing on one cold layout build (or share) it and price its
+    bill, and each returns the run a fresh cache gives; the layout keeps
+    one bill."""
+    case = ("kernel", "periodic", 4, 2, "numpy", DataType.FP16)
+    _, expected = _layout_run(case, CompileCache())
+    cache = CompileCache()
+    barrier = threading.Barrier(4)
+
+    def race():
+        barrier.wait(timeout=10)
+        return _layout_run(case, cache)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(race) for _ in range(4)]
+            runs = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for _, result in runs:
+        assert layout_facts(result) == layout_facts(expected)
+    runner = runs[0][0]
+    layout = runner.layout(_layout_work(*case[:2], *case[4:])[0])
+    assert len(layout._bills) == 1
+
+
+def test_bill_memo_is_bounded_by_retained_sweeps():
+    from repro.engine.sharded import _BILL_SWEEPS
+
+    case = ("kernel", "periodic", 4, 2, "numpy", DataType.FP16)
+    runner, _ = _layout_run(case, CompileCache())
+    layout = runner.layout(_layout_work(*case[:2], *case[4:])[0])
+    schedules = [RoundSchedule.kernel(sweeps, 2)
+                 for sweeps in range(1, 100)]
+    for schedule in schedules:
+        layout._bill(schedule, True)
+        retained = sum(bill.sweeps for bill in layout._bills.values())
+        assert retained <= _BILL_SWEEPS
+    # the oldest went first, the newest stayed, and an evicted bill prices
+    # back identically
+    assert (schedules[0], True) not in layout._bills
+    assert (schedules[-1], True) in layout._bills
+    assert layout._bill(schedules[0], True) == price_schedule(
+        schedules[0], layout.geometry, layout.phases, True)
+    # a bill longer than the whole budget is still kept, alone
+    long = RoundSchedule.kernel(_BILL_SWEEPS + 1, 2)
+    layout._bill(long, True)
+    assert list(layout._bills) == [(long, True)]
+
+
+class TestCustomBackendPricing:
+    """A registered backend prices its sweeps through
+    :meth:`StencilBackend.price`: the single-device executor bills the
+    launches its sweeps return and the sharded engine bills the layout's
+    phase launches, so both bill that price and cannot drift apart."""
+
+    @pytest.fixture
+    def backend(self):
+        from repro.core import codegen
+
+        class SlowNumpy(codegen.NumpyBackend):
+            name = "slow-numpy-test"
+
+            def price(self, context):
+                launch = super().price(context)
+                return dataclasses.replace(
+                    launch, elapsed_seconds=launch.elapsed_seconds * 3.0)
+
+        backend = SlowNumpy()
+        codegen.register_backend(backend)
+        try:
+            yield backend
+        finally:
+            with codegen._BACKENDS_LOCK:
+                codegen._BACKENDS.pop(backend.name, None)
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_one_shard_bills_the_single_device_run(self, backend, heat2d,
+                                                   boundary):
+        compiled = compile_stencil(heat2d, (64, 64), boundary=boundary,
+                                   backend=backend.name)
+        grid = make_grid((64, 64), seed=3, boundary=boundary)
+        single = run_stencil(compiled, grid, 3)
+        sharded = ShardedExecutor(1, cache=CompileCache()).execute(
+            compiled, grid, 3)
+        assert np.array_equal(sharded.output, single.output)
+        for name in ("elapsed_seconds", "compute_seconds", "memory_seconds",
+                     "utilization"):
+            assert getattr(sharded, name) == getattr(single, name), name
+        numpy = compile_stencil(heat2d, (64, 64), boundary=boundary,
+                                backend="numpy")
+        assert single.elapsed_seconds \
+            == run_stencil(numpy, grid, 3).elapsed_seconds * 3.0
+
+    def test_phase_launches_are_the_backend_price(self, backend, heat2d):
+        from repro.engine.sharded import run_shard_phase
+
+        compiled = compile_stencil(heat2d, (66, 66), boundary="periodic",
+                                   backend=backend.name)
+        grid = make_grid((66, 66), seed=3, boundary="periodic")
+        runner = ShardedExecutor(4, cache=CompileCache(), halo_depth=2)
+        result = runner.execute(compiled, grid, 4)
+        layout = runner.layout(compiled)
+        partition = layout.partition
+        for row, local in zip(layout.phases[""], partition.extract(grid.data)):
+            for phase in row:
+                assert phase.launch == backend.price(phase.context)
+                swept = run_shard_phase(phase, local.copy(), partition.radius)
+                assert dataclasses.replace(swept, output=None) == phase.launch
+        assert result.elapsed_seconds == price_schedule(
+            RoundSchedule.kernel(4, 2), layout.geometry,
+            layout.window_seconds()).wall_seconds
+
+
 class TestRouterPricesSteadyState:
     def test_short_run_routes_single_despite_cheap_finite_schedule(self):
         """The router prices the steady-state round, not the finite one: a

@@ -274,14 +274,19 @@ class TestZeroWeightElision:
         assert _same_bits(result.output, expected.output)
 
 
+#: Ragged fp64 plans, which run the dense MMA model: ``(pattern, shape,
+#: r1, r2)``.
+DENSE_PLANS = [
+    (StencilPattern.star(1, 2), (29,), 4, None),
+    (StencilPattern.star(2, 1), (23, 29), 3, 2),
+    (StencilPattern.box(2, 1), (20, 17), 4, 4),
+    (StencilPattern.star(3, 1), (11, 12, 13), 2, 4),
+    (StencilPattern.box(3, 1), (13, 9, 10), 3, 2),
+]
+
+
 class TestScatter:
-    @pytest.mark.parametrize("pattern, shape, r1, r2", [
-        (StencilPattern.star(1, 2), (29,), 4, None),
-        (StencilPattern.star(2, 1), (23, 29), 3, 2),
-        (StencilPattern.box(2, 1), (20, 17), 4, 4),
-        (StencilPattern.star(3, 1), (11, 12, 13), 2, 4),
-        (StencilPattern.box(3, 1), (13, 9, 10), 3, 2),
-    ])
+    @pytest.mark.parametrize("pattern, shape, r1, r2", DENSE_PLANS)
     def test_dense_plan_scatter_matches_assemble_output(self, pattern, shape,
                                                         r1, r2):
         compiled = compile_stencil(pattern, shape, search=False, r1=r1, r2=r2,
@@ -300,6 +305,28 @@ class TestScatter:
         old[context.interior] = assemble_output(result.output,
                                                 compiled.geometry())
         assert _same_bits(new, old)
+
+    @pytest.mark.parametrize("pattern, shape, r1, r2", DENSE_PLANS)
+    def test_dense_mma_step_matches_the_device_model(self, pattern, shape,
+                                                      r1, r2):
+        """A dense plan's MMA attaches its product to the launch priced
+        from shapes; both equal the functional device model's launch."""
+        compiled = compile_stencil(pattern, shape, search=False, r1=r1, r2=r2,
+                                   dtype=DataType.FP64, backend="tcu-sim")
+        plan = compiled.plan
+        context = prepare_sweep(compiled)
+        data = np.random.default_rng(sum(shape)).standard_normal(shape)
+        b_operand = gather_step(context, data)
+        result = mma_step(context, b_operand)
+        expected = execute_launch(KernelLaunch(
+            name=context.launch_name, engine=plan.engine, a=plan.a_operand,
+            b=b_operand, fragment=plan.fragment, dtype=plan.dtype,
+            traffic=plan.estimate.traffic,
+            threads_per_block=plan.threads_per_block, blocks=plan.blocks,
+            registers_per_thread=plan.registers_per_thread), context.spec)
+        assert _same_bits(result.output, expected.output)
+        assert replace(result, output=None) \
+            == replace(expected, output=None) == context.priced_launch
 
     def test_scatter_rejects_a_misshapen_d(self):
         compiled, data = _heat_plan()
