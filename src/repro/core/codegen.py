@@ -26,8 +26,9 @@ hangs C/OpenMP/OpenCL transformers off a single kernel frontend:
   with fp32 accumulation, and scatters each row of ``D`` straight into the
   grid interior — the generated kernel's LUT-driven loads, without ever
   building ``B'``.  Slots whose weight is exactly zero (2:4 padding) are
-  skipped whenever the staged grid is finite, which leaves every bit
-  unchanged.  Its launch timing is priced once per prepared plan from the
+  skipped whenever the staged grid is finite, and a weight that many slots
+  share is multiplied into the staged grid once per sweep; neither changes
+  a bit.  Its launch timing is priced once per prepared plan from the
   operand shapes.  A ``dense_mma`` (fp64) plan gathers ``B'`` and runs the
   functional dense MMA every sweep.
 * ``"numpy"`` — a vectorised fast path: the effective (fused) kernel is
@@ -61,7 +62,7 @@ import importlib.util
 import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -106,6 +107,94 @@ __all__ = [
 SPARSE_KERNEL_REGISTERS = 32
 DENSE_KERNEL_REGISTERS = 52
 
+#: fp32 bit patterns of the fp16 range edges: the smallest normal
+#: (``2**-14``) and the largest finite value (65504).
+_FP16_MIN_NORMAL_BITS = 0x38800000
+_FP16_MAX_BITS = 0x477FE000
+
+#: Share of fallback lanes above which :func:`_round_fp16` casts the whole
+#: array with numpy instead.  Picking the lanes out and back costs more per
+#: lane than the casts save once about 60% of a 512² grid falls back
+#: (fp16-subnormal or overflowing values); past that share the whole-array
+#: casts are cheaper.
+_FP16_FALLBACK_SHARE = 0.6
+
+
+def _round_fp16(values: np.ndarray) -> np.ndarray:
+    """``values.astype(float16).astype(float32)``, bit for bit.
+
+    Holds for a real array of any dtype up to float64 and any layout.
+    numpy's half casts run a scalar loop; this rounds in fp32 instead.  The
+    cast to fp32 rounds to nearest even; adding half an fp16 ulp
+    (``0x1000``) to the fp32 bits and clearing the 13 bits fp16 lacks then
+    rounds to 11 significant bits, carrying into the exponent as needed.
+    That equals the direct rounding to fp16 on every lane except three
+    kinds, which are recomputed with the exact cast chain:
+
+    * fp32 values on an fp16 tie (low 13 bits ``0x1000``): the cast to fp32
+      may have decided the tie, and the shortcut does not break ties to
+      even;
+    * non-zero magnitudes below ``2**-14``, where fp16 is subnormal and keeps
+      fewer than 11 significant bits;
+    * magnitudes above 65504: overflow to infinity, infinities and NaNs.
+
+    Off a tie the shortcut is exact: fp32 rounding is monotone and every
+    midpoint between two normal fp16 values is an fp32 value, so the fp32
+    value lies strictly on the same side of each midpoint as the input.
+    (fp32 and narrower inputs, and integers below ``2**24``, convert to
+    fp32 exactly; larger integers overflow fp16 and fall back.)  ±0 stays
+    on the fast path.  When more than ``_FP16_FALLBACK_SHARE`` of the lanes
+    fall back, the whole array takes the cast chain instead.  Returns a
+    C-contiguous fp32 array of ``values.shape``.
+    """
+    rounded = values.astype(np.float32, order="C")
+    bits = rounded.reshape(-1).view(np.uint32)
+    probe = np.bitwise_and(bits, 0x7FFFFFFF)
+    slow = probe > _FP16_MAX_BITS
+    probe -= 1                  # ±0 wraps to 0xFFFFFFFF: not subnormal
+    slow |= probe < _FP16_MIN_NORMAL_BITS - 1
+    np.bitwise_and(bits, 0x1FFF, out=probe)
+    slow |= probe == 0x1000
+    n_slow = np.count_nonzero(slow)
+    if n_slow > _FP16_FALLBACK_SHARE * slow.size:
+        return values.astype(np.float16).astype(np.float32, order="C")
+    bits += 0x1000
+    bits &= 0xFFFFE000
+    if n_slow:
+        lanes = np.flatnonzero(slow)
+        exact = values.reshape(-1)[lanes]
+        bits[lanes] = exact.astype(np.float16).astype(np.float32).view(np.uint32)
+    return rounded
+
+
+class _SharedProducts(NamedTuple):
+    """The slot weights a sweep multiplies into the whole staged buffer once.
+
+    ``picks`` holds, per output row and term, the index of the term's weight
+    in ``weights``, or ``-1`` for a term that multiplies its own run.
+    """
+
+    weights: Tuple[np.float32, ...]
+    picks: Tuple[Tuple[int, ...], ...]
+
+
+def _share_products(rows, span: int, staged_size: int) -> _SharedProducts:
+    """Share each weight whose terms multiply more elements (uses x ``span``)
+    than one product of the ``staged_size`` buffer holds.
+
+    Weights are told apart by bit pattern, so ``+0`` and ``-0`` never share.
+    """
+    uses: Dict[bytes, list] = {}
+    for terms in rows:
+        for _, weight in terms:
+            uses.setdefault(weight.tobytes(), []).append(weight)
+    index = {key: k for k, key in enumerate(
+        key for key, found in uses.items() if len(found) * span > staged_size)}
+    return _SharedProducts(
+        weights=tuple(uses[key][0] for key in index),
+        picks=tuple(tuple(index.get(weight.tobytes(), -1)
+                          for _, weight in terms) for terms in rows))
+
 
 @dataclass(frozen=True)
 class SlotTable:
@@ -137,6 +226,15 @@ class SlotTable:
     weight times ``inf`` or ``NaN`` is ``NaN``, so a non-finite staged
     buffer takes the full ``rows``.
 
+    A weight that many terms carry (all 162 live slots of the 64³ box-27
+    plan carry one) is multiplied into the whole staged buffer once per
+    sweep, and its terms add slices of that product.  The choice is a plan
+    constant (``shared`` for ``rows``, ``live_shared`` for ``live_rows``):
+    a weight is shared when its terms' runs hold more elements than the
+    buffer.  That is bit-exact too: each element of the shared product is
+    the fp32 ``w * x`` the term would compute, and every row still adds its
+    terms in slot order from +0.
+
     Attributes
     ----------
     rows: per output row, its ``(run offset, fp32 weight)`` terms in
@@ -148,6 +246,8 @@ class SlotTable:
     phase_shape: extents of one phase of the staged buffer.
     span: elements in one slot's run.
     stage_dtype: device precision operands are rounded to before staging.
+    shared: the weights of ``rows`` whose product a sweep shares.
+    live_shared: the same for ``live_rows``.
     """
 
     rows: Tuple[Tuple[Tuple[int, np.float32], ...], ...]
@@ -158,6 +258,8 @@ class SlotTable:
     phase_shape: Tuple[int, ...]
     span: int
     stage_dtype: np.dtype
+    shared: _SharedProducts
+    live_shared: _SharedProducts
 
     @property
     def staged_shape(self) -> Tuple[int, ...]:
@@ -167,15 +269,17 @@ class SlotTable:
         """Round ``grid`` to the device precision into the phase-split fp32 buffer.
 
         Exact: gathering and permuting ``B'`` only copy values, so rounding
-        the grid once equals rounding every ``B'`` element.  Tile padding
-        stays zero.
+        the grid once equals rounding every ``B'`` element.  A grid staged
+        at fp16 is rounded by :func:`_round_fp16`, which matches numpy's
+        ``astype(float16).astype(float32)`` bit for bit without its scalar
+        loops.  Tile padding stays zero.
         """
         require(tuple(grid.shape) == self.grid_shape,
                 f"grid shape {tuple(grid.shape)} does not match the slot "
                 f"table's {self.grid_shape}")
         staged = np.zeros(self.staged_shape, dtype=np.float32)
         rounded = (grid if self.stage_dtype == np.float32
-                   else grid.astype(self.stage_dtype))
+                   else _round_fp16(grid))
         for phase, residues in zip(staged, np.ndindex(*self.tile_extent)):
             part = rounded[tuple(slice(q, None, r) for q, r
                                  in zip(residues, self.tile_extent))]
@@ -188,9 +292,10 @@ class SlotTable:
         Each row accumulates ``w * run`` in fp32 from +0 in slot order —
         bit-identical to :func:`repro.tcu.sparse_mma.sparse_mma_compressed`
         on the materialised ``B''``; a finite buffer skips the zero-weight
-        terms (``live_rows``), which cannot change a bit.  Returns the
-        ``(m', n')`` product in float64, as the functional device model
-        does.
+        terms (``live_rows``), which cannot change a bit, and the terms of
+        a shared weight add slices of one product of the whole buffer.
+        Returns the ``(m', n')`` product in float64, as the functional
+        device model does.
         """
         require(staged.shape == self.staged_shape
                 and staged.dtype == np.float32 and staged.flags.c_contiguous,
@@ -201,12 +306,18 @@ class SlotTable:
         m = len(self.rows)
         d = np.zeros((m, int(np.prod(self.phase_shape))), dtype=np.float32)
         term = np.empty(span, dtype=np.float32)
-        rows = self.live_rows if np.isfinite(staged).all() else self.rows
-        for row, terms in zip(d, rows):
+        rows, shared = ((self.live_rows, self.live_shared)
+                        if np.isfinite(staged).all()
+                        else (self.rows, self.shared))
+        products = [flat * weight for weight in shared.weights]
+        for row, terms, picks in zip(d, rows, shared.picks):
             acc = row[:span]
-            for offset, weight in terms:
-                np.multiply(flat[offset:offset + span], weight, out=term)
-                acc += term
+            for (offset, weight), pick in zip(terms, picks):
+                if pick < 0:
+                    np.multiply(flat[offset:offset + span], weight, out=term)
+                    acc += term
+                else:
+                    acc += products[pick][offset:offset + span]
         tiles = d.reshape((m,) + self.phase_shape)[
             (slice(None),) + tuple(slice(0, t) for t in self.tile_grid)]
         return tiles.astype(np.float64).reshape(m, -1)
@@ -272,16 +383,21 @@ def build_slot_table(conversion: ConversionResult, metadata: SparseMetadata,
               for source, weight in zip(row_sources, row_weights)
               if source < conversion.n_original)
         for row_sources, row_weights in zip(sources, weights))
+    live_rows = tuple(tuple(term for term in row if term[1] != 0)
+                      for row in rows)
+    span = sum((t - 1) * stride for t, stride in zip(tiles, phase_strides)) + 1
+    staged_size = int(np.prod(extent)) * int(np.prod(phase_shape))
     return SlotTable(
         rows=rows,
-        live_rows=tuple(tuple(term for term in row if term[1] != 0)
-                        for row in rows),
+        live_rows=live_rows,
         grid_shape=lut.grid_shape,
         tile_grid=tiles,
         tile_extent=extent,
         phase_shape=phase_shape,
-        span=sum((t - 1) * stride for t, stride in zip(tiles, phase_strides)) + 1,
+        span=span,
         stage_dtype=np.dtype(dtype.numpy_dtype),
+        shared=_share_products(rows, span, staged_size),
+        live_shared=_share_products(live_rows, span, staged_size),
     )
 
 

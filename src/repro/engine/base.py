@@ -230,6 +230,17 @@ def run_sweep(context: SweepContext, current: np.ndarray) -> LaunchResult:
     return context.sweep(current)
 
 
+def billed_launch(launch: LaunchResult) -> LaunchResult:
+    """``launch`` without its functional output, which is all a run bills.
+
+    Executors keep one launch per sweep to total a run's modelled time;
+    keeping the sweep's ``(m', n')`` product too would hold every sweep's
+    ``D`` alive until the run ends.  The launch a backend returned stays
+    the one billed.
+    """
+    return launch if launch.output is None else replace(launch, output=None)
+
+
 @dataclass(frozen=True)
 class _LaunchTotals:
     elapsed_seconds: float

@@ -25,6 +25,7 @@ from repro.core.pipeline import (
     compile_cached,
 )
 from repro.engine.base import (
+    billed_launch,
     original_points,
     prepare_sweep,
     run_sweep,
@@ -143,14 +144,16 @@ class SingleDeviceExecutor:
             context = prepare_sweep(compiled, self.spec)
             apply_boundary(current, context.radius, boundary)
             for index in range(fused_sweeps):
-                launches.append(timed_sweep(context, "fused", index))
+                launches.append(billed_launch(
+                    timed_sweep(context, "fused", index)))
                 apply_boundary(current, context.radius, boundary)
         if leftover:
             context = prepare_sweep(leftover_plan(compiled, self.cache),
                                     self.spec)
             apply_boundary(current, context.radius, boundary)
             for index in range(leftover):
-                launches.append(timed_sweep(context, "leftover", index))
+                launches.append(billed_launch(
+                    timed_sweep(context, "leftover", index)))
                 apply_boundary(current, context.radius, boundary)
 
         totals = summarize_launches(launches)

@@ -53,7 +53,8 @@ import numpy as np
 
 from repro.core.morphing import MorphConfig
 from repro.core.pipeline import StencilRunResult
-from repro.engine.base import prepare_sweep, run_sweep, summarize_launches
+from repro.engine.base import (billed_launch, prepare_sweep, run_sweep,
+                               summarize_launches)
 from repro.engine.sharded import (
     RoundSchedule,
     ShardedRunner,
@@ -164,7 +165,7 @@ class ProgramRunner:
                             and filled.get(source) != pattern.radius:
                         apply_boundary(data, pattern.radius, boundary)
                     launch = run_sweep(context, data)
-                    launches.append(launch)
+                    launches.append(billed_launch(launch))
                     stage_device += launch.elapsed_seconds
                     term = data[interior]
                     acc = term if acc is None else acc + term

@@ -3,6 +3,8 @@ sweeps and cross-sweep utilization aggregation."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from repro.engine import (
     prepare_sweep,
     run_sweep,
 )
+from repro.engine.base import summarize_launches
+from repro.programs import ProgramRunner, StencilProgram, compile_program
 from repro.service import CompileCache
 from repro.stencils.grid import make_grid
 from repro.stencils.reference import run_stencil_iterations
@@ -77,6 +81,60 @@ class TestSingleDeviceExecutor:
         one = run_stencil(compiled, grid, 1)
         many = run_stencil(compiled, grid, 4)
         assert many.utilization == one.utilization
+
+
+def _traced_peak(run):
+    """``run()``'s result and the peak traced allocation (bytes) during it."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _assert_billed(result, launches):
+    totals = summarize_launches(launches)
+    assert result.elapsed_seconds == totals.elapsed_seconds
+    assert result.compute_seconds == totals.compute_seconds
+    assert result.memory_seconds == totals.memory_seconds
+    assert result.utilization == totals.utilization
+
+
+#: Slack allowed between the traced peaks of a short and a long run: a
+#: run that kept each sweep's float64 ``D`` would grow by ~2 MB per sweep.
+_PEAK_SLACK = 4 * 2**20
+
+
+class TestRunsKeepNoSweepOutputs:
+    """Executors bill a run from its sweeps' launches without holding every
+    sweep's ``(m', n')`` product until the run ends."""
+
+    def test_single_device_peak_is_flat_in_iterations(self, heat2d):
+        compiled = compile_stencil(heat2d, (512, 512), boundary="periodic",
+                                   backend="tcu-sim")
+        grid = make_grid((512, 512), seed=2, boundary="periodic")
+        priced = prepare_sweep(compiled).priced_launch
+        peaks = {}
+        for iterations in (2, 60):
+            result, peaks[iterations] = _traced_peak(
+                lambda: SingleDeviceExecutor().execute(compiled, grid,
+                                                       iterations))
+            _assert_billed(result, [priced] * iterations)
+        assert peaks[60] < peaks[2] + _PEAK_SLACK
+
+    def test_program_runner_peak_is_flat_in_steps(self, heat2d):
+        program = StencilProgram.chain("heat-twice",
+                                       [("a", heat2d), ("b", heat2d)])
+        grid = make_grid((512, 512), seed=2)
+        plan = compile_program(program, grid, options={"backend": "tcu-sim"})
+        priced = [prepare_sweep(compiled).priced_launch
+                  for stage in plan.stages for compiled in stage.compiled]
+        peaks = {}
+        for steps in (1, 30):
+            result, peaks[steps] = _traced_peak(
+                lambda: ProgramRunner().execute(plan, grid, steps))
+            _assert_billed(result, priced * steps)
+        assert peaks[30] < peaks[1] + _PEAK_SLACK
 
 
 class TestLeftoverSweeps:

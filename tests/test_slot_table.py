@@ -6,7 +6,8 @@ for bit, the reference data path it replaced:
 ``gather_b_matrix -> apply_to_b -> sparse_mma_compressed -> assemble_output``,
 with the launch timing :func:`~repro.tcu.executor.execute_launch` bills.
 The in-place scatter of ``D`` into the grid is checked against
-``assemble_output`` for the dense plans the generated suite does not draw.
+``assemble_output`` for the dense plans the generated suite does not draw,
+and the fp16 staging shortcut against numpy's half casts.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.engine.base as engine_base
+from repro.core import codegen
 from repro.core.codegen import build_slot_table, generate_kernel
 from repro.core.lookup_table import gather_b_matrix
 from repro.core.metadata import SparseMetadata, pack_indices
@@ -86,9 +88,25 @@ def problems(draw, fusion: int = 1):
                                dtype=dtype, boundary=boundary,
                                temporal_fusion=fusion, backend="tcu-sim")
     seed = draw(st.integers(0, 2**31 - 1))
-    scale = draw(st.sampled_from([1.0, 1e-3, 300.0]))
-    data = np.random.default_rng(seed).standard_normal(shape) * scale
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        # 3e4 puts a few cells past the fp16 overflow edge (65504)
+        scale = draw(st.sampled_from([1.0, 1e-3, 300.0, 3e4]))
+        data = rng.standard_normal(shape) * scale
+    else:
+        data = _fp16_midpoints(rng, shape)
     return compiled, Grid(data=data, boundary=boundary)
+
+
+def _fp16_midpoints(rng, shape) -> np.ndarray:
+    """fp64 values on, or a few ulps off, the midpoint between two
+    neighbouring fp16 values of magnitude below 4 (subnormals included)."""
+    low = rng.integers(0, 0x4400, size=shape, dtype=np.uint16)  # 0 .. 4.0
+    below = low.view(np.float16).astype(np.float64)
+    above = (low + 1).view(np.float16).astype(np.float64)
+    middle = (below + above) / 2 * rng.choice([-1.0, 1.0], size=shape)
+    nudge = rng.integers(-2, 3, size=shape)
+    return (middle.view(np.int64) + nudge).view(np.float64)
 
 
 def _oracle_gather(context, current):
@@ -120,6 +138,8 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# grids scaled by 3e4 overflow fp16: inf and NaN arithmetic warns
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestDifferential:
     @given(problem=problems())
     @settings(**SETTINGS)
@@ -272,6 +292,164 @@ class TestZeroWeightElision:
         expected = _oracle_sweep(context, old)
         assert _same_bits(new, old)
         assert _same_bits(result.output, expected.output)
+
+
+class TestSharedProducts:
+    def test_box27_plan_shares_its_one_live_weight(self):
+        compiled = compile_stencil(StencilPattern.box(3, 1), (64, 64, 64),
+                                   backend="tcu-sim")
+        table = compiled.plan.slot_table
+        weight, = table.live_shared.weights
+        assert all(w == weight for row in table.live_rows for _, w in row)
+        assert all(pick == 0 for row in table.live_shared.picks
+                   for pick in row)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_distinct_weights_share_only_zero(self):
+        pattern = StencilPattern.star(2, 1,
+                                      weights=[0.52, 0.11, 0.12, 0.13, 0.14])
+        compiled = compile_stencil(pattern, (64, 64), search=False, r1=1,
+                                   r2=2, backend="tcu-sim")
+        table = compiled.plan.slot_table
+        assert table.live_shared.weights == ()
+        assert all(pick == -1 for row in table.live_shared.picks
+                   for pick in row)
+        # the 2:4 padding's zero weight is the full rows' one shared product
+        assert [w.tobytes() for w in table.shared.weights] \
+            == [np.float32(0).tobytes()]
+
+        data = np.random.default_rng(9).standard_normal((64, 64))
+        data[5, 7], data[20, 33], data[41, 2] = np.inf, -np.inf, np.nan
+        context = prepare_sweep(compiled)
+        new = data.copy()
+        result = run_sweep(context, new)
+        old = data.copy()
+        expected = _oracle_sweep(context, old)
+        assert _same_bits(new, old)
+        assert _same_bits(result.output, expected.output)
+
+    def test_oracle_keeps_numpy_half_casts(self, monkeypatch):
+        compiled, data = _heat_plan()
+        context = prepare_sweep(compiled)
+        expected = _oracle_sweep(context, data.copy())
+
+        def refuse(values):
+            raise AssertionError("the fp16 shortcut was called")
+
+        monkeypatch.setattr(codegen, "_round_fp16", refuse)
+        assert _same_bits(_oracle_sweep(context, data.copy()).output,
+                          expected.output)
+        with pytest.raises(AssertionError, match="shortcut"):
+            run_sweep(context, data.copy())
+
+
+#: Hand-picked fp16 edge values: ±0, the subnormal range, the normal and
+#: overflow edges (65504 is the largest finite fp16, 65520 the first value
+#: that overflows), infinities and NaN.
+FP16_EDGES = [0.0, -0.0, 2.0**-24, 2.0**-25, 3 * 2.0**-26, 2.0**-14,
+              2.0**-14 - 2.0**-25, 6e-8, -6e-8, 1e-300, 65504.0, -65504.0,
+              65519.99999999999, 65520.0, 65520.00000000001, -65520.0,
+              7e4, 1e300, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def fp16_midpoint(draw):
+    """The midpoint between a finite fp16 value and the next one up, or a
+    few fp64 ulps off it, with either sign."""
+    low = draw(st.integers(0, 0x7BFE))
+    below, above = (np.array([low, low + 1], dtype=np.uint16)
+                    .view(np.float16).astype(np.float64))
+    middle = float((below + above) / 2)
+    nudged = (np.array(middle).view(np.int64)
+              + draw(st.integers(-3, 3))).view(np.float64)
+    return float(nudged) * draw(st.sampled_from([1.0, -1.0]))
+
+
+FP64_VALUES = st.one_of(
+    st.integers(0, 2**64 - 1).map(
+        lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))
+    ).filter(np.isfinite),
+    fp16_midpoint(),
+    st.integers(1, 0x3FF).map(          # fp16 subnormals, either sign
+        lambda bits: float(np.array(bits, dtype=np.uint16).view(np.float16))
+    ).flatmap(lambda value: st.sampled_from([value, -value])),
+    st.sampled_from(FP16_EDGES),
+)
+
+
+@st.composite
+def fp64_arrays(draw):
+    """1-3-D float64 arrays of fp16 edge values, C-contiguous or strided."""
+    ndim = draw(st.integers(1, 3))
+    shape = [draw(st.integers(1, 6)) for _ in range(ndim)]
+    strided = draw(st.booleans())
+    if strided:
+        shape[-1] *= 2
+    values = draw(st.lists(FP64_VALUES, min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    array = np.array(values, dtype=np.float64).reshape(shape)
+    return array[..., ::-2] if strided else array
+
+
+class TestFp16Staging:
+    @given(values=fp64_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_half_casts(self, values):
+        with np.errstate(over="ignore"):
+            expected = values.astype(np.float16).astype(np.float32)
+            rounded = codegen._round_fp16(values)
+        assert rounded.flags.c_contiguous
+        assert _same_bits(rounded, expected)
+
+    @given(values=fp64_arrays(),
+           dtype=st.sampled_from([np.float32, np.float16]))
+    @settings(max_examples=100, deadline=None)
+    def test_narrower_floats_match_numpy_half_casts(self, values, dtype):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = values.astype(dtype)
+            expected = values.astype(np.float16).astype(np.float32)
+            rounded = codegen._round_fp16(values)
+        assert _same_bits(rounded, expected)
+
+    @given(values=st.lists(st.one_of(
+        st.integers(-2**63, 2**63 - 1),
+        st.integers(-70000, 70000),
+        st.sampled_from([2049, 2051, 4099, 65503, 65504, 65519, 65520,
+                         2**24 + 1, -65520])), min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_integers_match_numpy_half_casts(self, values):
+        values = np.array(values, dtype=np.int64)
+        with np.errstate(over="ignore"):
+            expected = values.astype(np.float16).astype(np.float32)
+            rounded = codegen._round_fp16(values)
+        assert _same_bits(rounded, expected)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_fallback_share_picks_the_path(self, monkeypatch, extra):
+        """Up to ``_FP16_FALLBACK_SHARE`` of the lanes are recomputed one
+        by one; one lane more and the whole array takes numpy's casts."""
+        n = 1000
+        limit = int(codegen._FP16_FALLBACK_SHARE * n)
+        assert limit <= codegen._FP16_FALLBACK_SHARE * n < limit + 1
+        # exact fp16 values, all on the shortcut
+        values = (1000 + np.arange(n) % 1000) / 1024.0
+        odd = 2 * np.arange(limit + extra) + 1
+        # fp16 subnormals, ties, overflowing values and NaN
+        values[:limit + extra] = np.choose(np.arange(limit + extra) % 4, [
+            odd * 2.0**-26, 1 + odd * 2.0**-11, 7e4 + odd, np.nan])
+        values = values.reshape(25, 40)
+        picked = []
+
+        def flatnonzero(mask):
+            picked.append(int(np.count_nonzero(mask)))
+            return np.nonzero(np.ravel(mask))[0]
+
+        monkeypatch.setattr(codegen.np, "flatnonzero", flatnonzero)
+        with np.errstate(over="ignore"):
+            expected = values.astype(np.float16).astype(np.float32)
+            rounded = codegen._round_fp16(values)
+        assert _same_bits(rounded, expected)
+        assert picked == ([limit] if extra == 0 else [])
 
 
 #: Ragged fp64 plans, which run the dense MMA model: ``(pattern, shape,
