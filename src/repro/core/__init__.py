@@ -21,12 +21,11 @@ from repro.core.staircase import (
     BlockStructure,
     block_structure_from_morph,
 )
-from repro.core.conflict import conflict_graph, conflict_matrix, ConflictGraphs, build_conflict_graphs
+from repro.core.conflict import conflict_matrix
 from repro.core.matching import (
     MatchingResult,
     hierarchical_matching,
     greedy_matching,
-    blossom_matching,
     matching_to_permutation,
 )
 from repro.core.fusion import fuse_pattern, fused_iterations
@@ -80,14 +79,10 @@ __all__ = [
     "staircase_bandwidth",
     "BlockStructure",
     "block_structure_from_morph",
-    "conflict_graph",
     "conflict_matrix",
-    "ConflictGraphs",
-    "build_conflict_graphs",
     "MatchingResult",
     "hierarchical_matching",
     "greedy_matching",
-    "blossom_matching",
     "matching_to_permutation",
     "fuse_pattern",
     "fused_iterations",

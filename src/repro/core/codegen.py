@@ -59,9 +59,11 @@ from __future__ import annotations
 
 import abc
 import importlib.util
+import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -261,9 +263,13 @@ class SlotTable:
     shared: _SharedProducts
     live_shared: _SharedProducts
 
-    @property
+    @cached_property
     def staged_shape(self) -> Tuple[int, ...]:
-        return (int(np.prod(self.tile_extent)),) + self.phase_shape
+        return (math.prod(self.tile_extent),) + self.phase_shape
+
+    @cached_property
+    def phase_size(self) -> int:
+        return math.prod(self.phase_shape)
 
     def stage(self, grid: np.ndarray) -> np.ndarray:
         """Round ``grid`` to the device precision into the phase-split fp32 buffer.
@@ -297,14 +303,15 @@ class SlotTable:
         Returns the ``(m', n')`` product in float64, as the functional
         device model does.
         """
-        require(staged.shape == self.staged_shape
-                and staged.dtype == np.float32 and staged.flags.c_contiguous,
+        if not (staged.shape == self.staged_shape
+                and staged.dtype == np.float32 and staged.flags.c_contiguous):
+            raise ValidationError(
                 "staged operand must be a C-contiguous fp32 buffer of shape "
                 f"{self.staged_shape}")
         flat = staged.reshape(-1)
         span = self.span
         m = len(self.rows)
-        d = np.zeros((m, int(np.prod(self.phase_shape))), dtype=np.float32)
+        d = np.zeros((m, self.phase_size), dtype=np.float32)
         term = np.empty(span, dtype=np.float32)
         rows, shared = ((self.live_rows, self.live_shared)
                         if np.isfinite(staged).all()

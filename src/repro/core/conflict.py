@@ -1,30 +1,21 @@
-"""Column conflict graphs (§3.2, Definitions 1–3 and Figure 5(b)).
+"""Column conflict graphs (§3.2, Definitions 1–3).
 
 Two columns of the morphed kernel matrix *conflict* when some row holds a
 nonzero in both — pairing them inside one 2-element group would then break
-the 1:2 sub-pattern the 2:4 constraint decomposes into.  The conversion stage
-builds the conflict graph, and for self-similar staircase matrices it builds
-it at two levels (global over column blocks, local inside a block), which is
-what lets the hierarchical matching run in linear time.
+the 1:2 sub-pattern the 2:4 constraint decomposes into.  The conflict graph
+is kept as a boolean adjacency matrix.  For self-similar staircase matrices
+the hierarchical matching never builds it: the block structure alone fixes a
+conflict-free pairing (Theorem 1), which the conversion stage checks against
+this adjacency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
-
-import networkx as nx
 import numpy as np
 
-from repro.core.staircase import BlockStructure
-from repro.util.validation import require, require_array
+from repro.util.validation import require_array
 
-__all__ = [
-    "conflict_matrix",
-    "conflict_graph",
-    "ConflictGraphs",
-    "build_conflict_graphs",
-]
+__all__ = ["conflict_matrix"]
 
 
 def conflict_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -41,95 +32,3 @@ def conflict_matrix(matrix: np.ndarray) -> np.ndarray:
     adjacency = counts > 0.5
     np.fill_diagonal(adjacency, False)
     return adjacency
-
-
-def conflict_graph(matrix: np.ndarray) -> nx.Graph:
-    """The conflict graph of Definition 1 as a :class:`networkx.Graph`.
-
-    Nodes are column indices ``0..n-1`` (present even when isolated); an edge
-    connects every conflicting pair.
-    """
-    adjacency = conflict_matrix(matrix)
-    n = adjacency.shape[0]
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    rows, cols = np.nonzero(np.triu(adjacency, k=1))
-    graph.add_edges_from(zip(rows.tolist(), cols.tolist()))
-    return graph
-
-
-@dataclass(frozen=True)
-class ConflictGraphs:
-    """The two-level conflict structure of a self-similar staircase matrix.
-
-    Attributes
-    ----------
-    global_graph:
-        Conflict graph over column *blocks* (Definition: blocks i and j
-        conflict when some row has a nonzero in both blocks).
-    local_graphs:
-        Per-block conflict graph over the columns inside that block, indexed
-        by block id.  For a self-similar staircase matrix all local graphs are
-        isomorphic (Figure 5(b): "exactly same!").
-    structure:
-        The block partition the graphs were built over.
-    """
-
-    global_graph: nx.Graph
-    local_graphs: Dict[int, nx.Graph]
-    structure: BlockStructure
-
-    def local_isomorphic(self) -> bool:
-        """Whether all local graphs have identical edge sets (block-relative)."""
-        edge_sets = []
-        for block, graph in sorted(self.local_graphs.items()):
-            base = block * self.structure.block_size
-            edges = frozenset(
-                (min(u, v) - base, max(u, v) - base) for u, v in graph.edges()
-            )
-            edge_sets.append(edges)
-        return len(set(edge_sets)) <= 1
-
-
-def build_conflict_graphs(matrix: np.ndarray,
-                          structure: BlockStructure) -> ConflictGraphs:
-    """Build the global and local conflict graphs of Figure 5(b)."""
-    matrix = require_array(matrix, "matrix", ndim=2)
-    require(matrix.shape[1] == structure.n_columns,
-            f"matrix has {matrix.shape[1]} columns, structure expects "
-            f"{structure.n_columns}")
-    mask = (np.asarray(matrix) != 0)
-    g = structure.block_size
-    n_blocks = structure.n_blocks
-
-    # Global graph: does any row touch both block i and block j?
-    block_mask = mask.reshape(mask.shape[0], n_blocks, g).any(axis=2)
-    block_adjacency = (block_mask.T.astype(np.float32)
-                       @ block_mask.astype(np.float32)) > 0.5
-    np.fill_diagonal(block_adjacency, False)
-    global_graph = nx.Graph()
-    global_graph.add_nodes_from(range(n_blocks))
-    rows, cols = np.nonzero(np.triu(block_adjacency, k=1))
-    global_graph.add_edges_from(zip(rows.tolist(), cols.tolist()))
-
-    # Local graphs: conflicts between columns inside each block (columns keep
-    # their global indices so matchings can be merged directly).
-    local_graphs: Dict[int, nx.Graph] = {}
-    for block in range(n_blocks):
-        columns = list(structure.columns_of_block(block))
-        sub_mask = mask[:, columns]
-        adjacency = (sub_mask.T.astype(np.float32)
-                     @ sub_mask.astype(np.float32)) > 0.5
-        np.fill_diagonal(adjacency, False)
-        graph = nx.Graph()
-        graph.add_nodes_from(columns)
-        local_rows, local_cols = np.nonzero(np.triu(adjacency, k=1))
-        graph.add_edges_from(
-            (columns[u], columns[v]) for u, v in zip(local_rows.tolist(),
-                                                     local_cols.tolist())
-        )
-        local_graphs[block] = graph
-
-    return ConflictGraphs(global_graph=global_graph,
-                          local_graphs=local_graphs,
-                          structure=structure)

@@ -3,18 +3,17 @@
 Turns the staircase kernel matrix ``A'`` produced by layout morphing into a
 2:4-compliant matrix ``A''`` by
 
-1. building the (two-level) column conflict graph,
-2. pairing conflict-free columns — Hierarchical Two-Level Matching when the
+1. pairing conflict-free columns — Hierarchical Two-Level Matching when the
    self-similar staircase structure is available, Blossom otherwise,
-3. inserting the required all-zero columns and applying the Permutation
+2. inserting the required all-zero columns and applying the Permutation
    Invariant Transformation so matched pairs land in adjacent K slots.
 
 :func:`select_matching` is the one rule that picks the matching solver.
-:func:`convert_to_24` follows it to build the conversion; the layout search
-follows it through :func:`padded_depth`, which needs only the *number* of
-zero columns and so stands in the pure-Python :func:`exact_matching` for
-Blossom — the same pad count at a fraction of the cost.  A compile
-therefore runs Blossom at most once, on the winning layout.
+The ``"blossom"`` solver is :func:`~repro.core.matching.exact_matching`,
+Edmonds' maximum-cardinality matching on the conflict-graph complement.
+:func:`convert_to_24` follows the rule to build the conversion; the layout
+search follows it through :func:`padded_depth`, which needs only the
+*number* of zero columns.
 
 The returned :class:`ConversionResult` also knows how to apply the same
 row permutation to any input matrix ``B'``, preserving
@@ -34,7 +33,6 @@ import numpy as np
 
 from repro.core.matching import (
     MatchingResult,
-    blossom_matching,
     exact_matching,
     greedy_matching,
     hierarchical_matching,
@@ -166,6 +164,19 @@ def select_matching(
     return "greedy", None
 
 
+def _match(
+    a_prime: np.ndarray,
+    structure: Optional[BlockStructure],
+    method: str,
+) -> Tuple[str, MatchingResult]:
+    """Run the solver :func:`select_matching` picks: ``(solver, matching)``."""
+    used, matching = select_matching(a_prime, structure, method)
+    if matching is None:
+        solver = greedy_matching if used == "greedy" else exact_matching
+        matching = solver(a_prime)
+    return used, matching
+
+
 def padded_depth(
     a_prime: np.ndarray,
     *,
@@ -174,15 +185,11 @@ def padded_depth(
 ) -> int:
     """The ``n_total`` :func:`convert_to_24` would produce, without converting.
 
-    Follows :func:`select_matching`, but where that picks Blossom it counts
-    zero columns with :func:`exact_matching`: every maximum matching leaves
-    the same number of columns unpaired, so the depth is the same.
+    Follows :func:`select_matching` and counts the zero columns of its
+    solver's matching.
     """
     a_prime = require_array(a_prime, "a_prime", ndim=2)
-    used, matching = select_matching(a_prime, structure, method)
-    if matching is None:
-        solver = greedy_matching if used == "greedy" else exact_matching
-        matching = solver(a_prime)
+    _, matching = _match(a_prime, structure, method)
     return 4 * ceil_div(a_prime.shape[1] + matching.n_pad, 4)
 
 
@@ -214,10 +221,7 @@ def convert_to_24(
         §3.2 fallback behaviour, bounded so compilation stays fast).
     """
     a_prime = require_array(a_prime, "a_prime", ndim=2)
-    used, matching = select_matching(a_prime, structure, method)
-    if matching is None:
-        solver = greedy_matching if used == "greedy" else blossom_matching
-        matching = solver(a_prime)
+    used, matching = _match(a_prime, structure, method)
     require(_validate(a_prime, matching),
             f"{used} matching failed to produce a valid cover")
 

@@ -6,7 +6,7 @@ pair, then any two adjacent pairs form a 4-group with at most two nonzeros
 per row.  Finding such pairs while inserting as few all-zero columns as
 possible is the Minimum Zero-Column Matching problem (Problem 1).
 
-Four solvers are provided:
+Three solvers are provided:
 
 * :func:`hierarchical_matching` — Algorithm 1 of the paper.  It exploits the
   self-similar k-staircase structure of the morphed kernel matrix: blocks at
@@ -16,20 +16,16 @@ Four solvers are provided:
   matching with the minimum number of zero columns (Theorem 2) in ``O(|V|)``.
 * :func:`greedy_matching` — first-fit pairing, the bounded fallback for
   conflict graphs too large for an exact solver.
-* :func:`blossom_matching` — the general fallback for arbitrary sparsity:
-  a maximum-cardinality matching on the *complement* of the conflict graph
-  via networkx's weighted Blossom implementation (Edmonds 1965).
-* :func:`exact_matching` — also a maximum-cardinality matching on the
-  complement, but unweighted and in pure Python over neighbour lists: the
-  greedy pairing, grown by Edmonds' augmenting-path search with blossom
-  contraction.  It pads exactly as many columns as Blossom, typically 10–100
-  times faster, though it may pick different pairs.
+* :func:`exact_matching` — the general fallback for arbitrary sparsity, the
+  paper's Blossom step: a maximum-cardinality matching on the *complement*
+  of the conflict graph by Edmonds' algorithm (1965), in pure Python over
+  neighbour lists.  The greedy pairing is grown by augmenting-path search
+  with blossom contraction.
 
-The padded reduction depth depends only on the *number* of zero columns, not
-on which columns pair up, so the layout search scores every candidate with
-:func:`exact_matching` and only the winning layout is converted with
-Blossom, whose particular pairing fixes the plan's permutation (and with it
-the fp32 accumulation order of the sweep).
+The layout search scores every candidate with :func:`exact_matching`, and
+the conversion of the winning layout runs it once more; its pairing fixes
+the plan's permutation (and with it the fp32 accumulation order of the
+sweep).
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.conflict import conflict_matrix
@@ -49,7 +44,6 @@ __all__ = [
     "MatchingResult",
     "hierarchical_matching",
     "greedy_matching",
-    "blossom_matching",
     "exact_matching",
     "matching_to_permutation",
 ]
@@ -70,7 +64,7 @@ class MatchingResult:
     n_columns:
         Number of original columns covered.
     method:
-        ``"hierarchical"``, ``"greedy"``, ``"blossom"`` or ``"exact"``.
+        ``"hierarchical"``, ``"greedy"`` or ``"exact"``.
     """
 
     pairs: Tuple[Tuple[int, Optional[int]], ...]
@@ -168,7 +162,8 @@ def greedy_matching(matrix: np.ndarray) -> MatchingResult:
     lookups and produces minimal padding on the banded conflict structures the
     morphed kernel matrices exhibit; it is the default fallback for layouts
     whose block structure is not a clean two-level staircase (e.g. 3D tiles),
-    where Blossom's cubic cost would dominate compilation time.
+    where an exact matching's cubic worst case would dominate compilation
+    time.
     """
     matrix = require_array(matrix, "matrix", ndim=2)
     mate = _first_fit(conflict_matrix(matrix))
@@ -201,44 +196,11 @@ def _pairs_from_mates(mate: List[int]) -> Tuple[Tuple[int, Optional[int]], ...]:
                  if partner == -1 or partner > column)
 
 
-def blossom_matching(matrix: np.ndarray) -> MatchingResult:
-    """General fallback: maximum matching on the complement of the conflict graph.
-
-    Any two columns *not* connected in the conflict graph may share a pair;
-    maximising the number of such pairs minimises the zero columns needed.
-    Runs Edmonds' Blossom algorithm via networkx (worst case ``O(|E||V|^2)``,
-    fine for the small conflict graphs real stencils produce).
-    """
-    matrix = require_array(matrix, "matrix", ndim=2)
-    adjacency = conflict_matrix(matrix)
-    n = adjacency.shape[0]
-
-    complement = nx.Graph()
-    complement.add_nodes_from(range(n))
-    free_rows, free_cols = np.nonzero(np.triu(~adjacency, k=1))
-    complement.add_edges_from(zip(free_rows.tolist(), free_cols.tolist()))
-
-    matching = nx.algorithms.matching.max_weight_matching(
-        complement, maxcardinality=True)
-
-    pairs: List[Tuple[int, Optional[int]]] = []
-    matched: set[int] = set()
-    for u, v in sorted((min(u, v), max(u, v)) for u, v in matching):
-        pairs.append((u, v))
-        matched.add(u)
-        matched.add(v)
-    for column in range(n):
-        if column not in matched:
-            pairs.append((column, ZERO_PAD))
-
-    return MatchingResult(pairs=tuple(pairs), n_columns=n, method="blossom")
-
-
 def exact_matching(matrix: np.ndarray) -> MatchingResult:
     """Maximum-cardinality pairing on the complement of the conflict graph.
 
-    Pads exactly as many zero columns as :func:`blossom_matching` (both are
-    maximum matchings of the same graph) but may pair different columns.
+    Any two columns *not* connected in the conflict graph may share a pair;
+    maximising the number of such pairs minimises the zero columns needed.
     Starts from the first-fit pairing of :func:`greedy_matching` and grows
     it with Edmonds' augmenting-path search: a breadth-first alternating
     tree from each exposed column, odd cycles (blossoms) contracted onto

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal import convolve
 
 from repro.core.fusion import fuse_pattern, fused_iterations
 from repro.core.lookup_table import build_lookup_table, gather_b_matrix
@@ -9,6 +10,7 @@ from repro.core.metadata import build_metadata, pack_indices, unpack_indices
 from repro.core.morphing import MorphConfig, morph_input_matrix, morph_kernel_matrix
 from repro.core.conversion import convert_to_24
 from repro.core.staircase import block_structure_from_morph
+from repro.stencils.catalog import full_catalog
 from repro.stencils.pattern import StencilPattern
 from repro.stencils.reference import apply_stencil_reference, run_stencil_iterations
 from repro.stencils.grid import make_grid
@@ -47,6 +49,40 @@ class TestFusePattern:
         assert fused_iterations(9, 3) == (3, 0)
         assert fused_iterations(10, 3) == (3, 1)
         assert fused_iterations(5, 1) == (5, 0)
+
+
+#: Largest difference, in ULPs of each weight, between a fused 1-D kernel
+#: and scipy's (3 measured).  For 1-D input scipy calls ``np.convolve``,
+#: which sums its edge outputs with a BLAS dot product, fused multiply-adds
+#: on FMA hosts; 2-D and 3-D kernels must match bit for bit.
+FUSED_1D_ULPS = 4
+
+
+def _taps(dense: np.ndarray) -> dict:
+    radius = np.asarray(dense.shape) // 2
+    return {tuple(int(i) for i in index - radius): dense[tuple(index)]
+            for index in np.argwhere(dense)}
+
+
+class TestFusionOracle:
+    @pytest.mark.parametrize("pattern", full_catalog(),
+                             ids=[p.name for p in full_catalog()])
+    def test_matches_scipy_direct_convolution(self, pattern):
+        dense = pattern.to_dense()
+        expected = dense
+        for times in (2, 3, 4):
+            expected = convolve(expected, dense, mode="full", method="direct")
+            want = _taps(expected)
+            fused = fuse_pattern(pattern, times)
+            got = dict(zip(fused.offsets, fused.weights))
+            assert got.keys() == want.keys(), times
+            got = np.array([got[tap] for tap in want])
+            want = np.array(list(want.values()))
+            if pattern.ndim == 1:
+                assert np.all(np.abs(got - want)
+                              <= FUSED_1D_ULPS * np.spacing(np.abs(want)))
+            else:
+                assert got.tobytes() == want.tobytes(), times
 
 
 class TestMetadataPacking:

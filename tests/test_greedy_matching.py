@@ -5,11 +5,12 @@ import pytest
 
 from repro.core.conversion import convert_to_24
 from repro.core.fusion import fuse_pattern
-from repro.core.matching import blossom_matching, greedy_matching
+from repro.core.matching import greedy_matching
 from repro.core.morphing import MorphConfig, morph_kernel_matrix
 from repro.core.staircase import block_structure_from_morph
 from repro.stencils.pattern import StencilPattern
 from repro.tcu.sparsity24 import is_24_sparse
+from tests.matching_oracle import blossom_matching
 
 
 class TestGreedyMatching:

@@ -1,15 +1,16 @@
-"""Unit tests for the Hierarchical Two-Level Matching (Algorithm 1), the
-Blossom fallback and the exact cardinality matcher the layout search scores
-candidates with."""
+"""Unit tests for the Hierarchical Two-Level Matching (Algorithm 1) and the
+exact cardinality matcher behind the ``"blossom"`` conversion, checked
+against networkx's Blossom."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.conflict import conflict_matrix
+from repro.core.conversion import BLOSSOM_COLUMN_LIMIT
+from repro.core.layout_search import default_search_space
 from repro.core.matching import (
     MatchingResult,
-    blossom_matching,
     exact_matching,
     greedy_matching,
     hierarchical_matching,
@@ -17,8 +18,10 @@ from repro.core.matching import (
 )
 from repro.core.morphing import MorphConfig, morph_kernel_matrix
 from repro.core.staircase import BlockStructure, block_structure_from_morph
+from repro.stencils.catalog import table2_benchmarks
 from repro.stencils.pattern import StencilPattern
 from repro.util.validation import ValidationError
+from tests.matching_oracle import blossom_matching
 
 
 def _morph(pattern, r1, r2):
@@ -84,37 +87,47 @@ class TestHierarchicalMatching:
 
 
 class TestBlossomMatching:
+    """``exact_matching`` as the ``"blossom"`` fallback for arbitrary sparsity."""
+
     def test_valid_on_morphed_kernel(self, box2d9p):
         a_prime, _ = _morph(box2d9p, 4, 4)
-        matching = blossom_matching(a_prime)
+        matching = exact_matching(a_prime)
         assert matching.is_cover()
         assert matching.is_conflict_free(a_prime)
 
     def test_handles_arbitrary_sparsity(self, rng):
-        # random non-staircase sparsity: blossom must still produce a valid cover
+        # random non-staircase sparsity: the fallback must still produce a
+        # valid cover
         matrix = (rng.random((6, 10)) < 0.3).astype(float)
-        matching = blossom_matching(matrix)
+        matching = exact_matching(matrix)
         assert matching.is_cover()
         assert matching.is_conflict_free(matrix)
+        assert matching.n_pad == blossom_matching(matrix).n_pad
 
     def test_fully_dense_matrix_pads_everything(self):
         matrix = np.ones((2, 6))
-        matching = blossom_matching(matrix)
+        matching = exact_matching(matrix)
         assert matching.is_cover()
         assert matching.n_pad == 6
 
     def test_no_conflicts_means_no_padding(self):
         matrix = np.eye(6)
-        matching = blossom_matching(matrix)
-        assert matching.n_pad == 0
+        assert exact_matching(matrix).n_pad == 0
+        assert blossom_matching(matrix).n_pad == 0
 
     def test_matches_hierarchical_padding_on_staircase(self, box2d9p):
-        # On a true self-similar staircase both algorithms should need the
-        # same (minimal) number of zero columns.
+        # On a true self-similar staircase Algorithm 1 and every maximum
+        # matching need the same (minimal) number of zero columns.
         a_prime, structure = _morph(box2d9p, 4, 4)
         hier = hierarchical_matching(structure)
-        blos = blossom_matching(a_prime)
-        assert hier.n_pad == blos.n_pad
+        assert hier.n_pad == exact_matching(a_prime).n_pad
+        assert hier.n_pad == blossom_matching(a_prime).n_pad
+
+    def test_oracle_is_a_valid_cover(self, rng):
+        matrix = (rng.random((6, 14)) < 0.3).astype(float)
+        matching = blossom_matching(matrix)
+        assert matching.is_cover()
+        assert matching.is_conflict_free(matrix)
 
 
 def incidence_matrix(n, edges):
@@ -209,6 +222,19 @@ class TestExactMatching:
         pattern = StencilPattern.box(3, 1)
         a_prime, _ = _morph(pattern, r1, r2)
         assert exact_matching(a_prime).n_pad == blossom_matching(a_prime).n_pad
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("config", table2_benchmarks(),
+                             ids=[c.name for c in table2_benchmarks()])
+    def test_pads_as_blossom_on_table2_candidates(self, config):
+        # every default layout candidate that method="auto" may hand to the
+        # Blossom solver
+        pattern = config.pattern
+        for r1, r2 in default_search_space(pattern):
+            a_prime, _ = _morph(pattern, r1, r2)
+            if a_prime.shape[1] <= BLOSSOM_COLUMN_LIMIT:
+                assert exact_matching(a_prime).n_pad == \
+                    blossom_matching(a_prime).n_pad, (r1, r2)
 
 
 class TestMatchingToPermutation:

@@ -1,14 +1,10 @@
 """Unit tests for the k-staircase property and the conflict graphs (§3.2)."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core.conflict import (
-    build_conflict_graphs,
-    conflict_graph,
-    conflict_matrix,
-)
+from repro.core.conflict import conflict_matrix
+from repro.core.conversion import convert_to_24
 from repro.core.morphing import MorphConfig, morph_kernel_matrix
 from repro.core.staircase import (
     BlockStructure,
@@ -121,42 +117,55 @@ class TestConflictMatrix:
         assert adjacency[0, 1]
 
 
+def block_adjacency(adjacency: np.ndarray, structure: BlockStructure) -> np.ndarray:
+    """Global conflict graph over column blocks: blocks conflict when any of
+    their columns do."""
+    n_blocks, g = structure.n_blocks, structure.block_size
+    return adjacency.reshape(n_blocks, g, n_blocks, g).any(axis=(1, 3))
+
+
 class TestConflictGraph:
     def test_nodes_present_even_when_isolated(self):
-        matrix = np.array([[1.0, 0.0, 0.0]])
-        graph = conflict_graph(matrix)
-        assert set(graph.nodes) == {0, 1, 2}
-        assert graph.number_of_edges() == 0
+        adjacency = conflict_matrix(np.array([[1.0, 0.0, 0.0]]))
+        assert adjacency.shape == (3, 3)
+        assert not adjacency.any()
 
     def test_edge_set_matches_matrix(self, box2d9p):
         a_prime = morph_kernel_matrix(box2d9p, MorphConfig.from_r1_r2(2, 4, 2))
-        graph = conflict_graph(a_prime)
         adjacency = conflict_matrix(a_prime)
-        for u, v in graph.edges:
-            assert adjacency[u, v]
-        assert graph.number_of_edges() == int(np.triu(adjacency, 1).sum())
+        assert np.array_equal(adjacency, adjacency.T)
+        nonzero = a_prime != 0
+        for u, v in np.ndindex(adjacency.shape):
+            shared = u != v and bool(np.any(nonzero[:, u] & nonzero[:, v]))
+            assert adjacency[u, v] == shared
 
 
 class TestTwoLevelConflictGraphs:
     def test_local_graphs_isomorphic_for_self_similar_staircase(self, box2d9p):
+        # Figure 5(b): every block's local conflict graph is the same
         cfg = MorphConfig.from_r1_r2(2, 4, 4)
         a_prime = morph_kernel_matrix(box2d9p, cfg)
         structure = block_structure_from_morph(box2d9p, cfg)
-        graphs = build_conflict_graphs(a_prime, structure)
-        assert graphs.local_isomorphic()
-        assert len(graphs.local_graphs) == structure.n_blocks
+        adjacency = conflict_matrix(a_prime)
+        g = structure.block_size
+        locals_ = [adjacency[b * g:(b + 1) * g, b * g:(b + 1) * g]
+                   for b in range(structure.n_blocks)]
+        assert len(locals_) == structure.n_blocks > 1
+        for local in locals_[1:]:
+            assert np.array_equal(local, locals_[0])
 
     def test_global_graph_respects_staircase(self, box2d9p):
         cfg = MorphConfig.from_r1_r2(2, 4, 4)
         a_prime = morph_kernel_matrix(box2d9p, cfg)
         structure = block_structure_from_morph(box2d9p, cfg)
-        graphs = build_conflict_graphs(a_prime, structure)
+        blocks = block_adjacency(conflict_matrix(a_prime), structure)
         k = box2d9p.diameter
-        for u, v in graphs.global_graph.edges:
-            assert abs(u - v) < k
+        assert blocks.any()
+        for u, v in zip(*np.nonzero(blocks)):
+            assert u == v or abs(u - v) < k
 
     def test_column_count_mismatch_rejected(self, box2d9p):
         a_prime = morph_kernel_matrix(box2d9p, MorphConfig.from_r1_r2(2, 4, 4))
         with pytest.raises(ValidationError):
-            build_conflict_graphs(a_prime, BlockStructure(n_columns=12,
-                                                          block_size=4, k=3))
+            convert_to_24(a_prime, structure=BlockStructure(n_columns=12,
+                                                            block_size=4, k=3))
