@@ -23,14 +23,16 @@ hangs C/OpenMP/OpenCL transformers off a single kernel frontend:
   conversion's permutation and the LUTs into a :class:`SlotTable` once;
   each sweep then rounds the grid to the device precision once, multiplies
   every retained slot's weight into one contiguous run of that staged grid
-  with fp32 accumulation, and scatters each row of ``D`` straight into the
-  grid interior — the generated kernel's LUT-driven loads, without ever
-  building ``B'``.  Slots whose weight is exactly zero (2:4 padding) are
-  skipped whenever the staged grid is finite, and a weight that many slots
-  share is multiplied into the staged grid once per sweep; neither changes
-  a bit.  Its launch timing is priced once per prepared plan from the
-  operand shapes.  A ``dense_mma`` (fp64) plan gathers ``B'`` and runs the
-  functional dense MMA every sweep.
+  with fp32 accumulation, and scatters each fp32 row of ``D`` straight
+  into the grid interior — the generated kernel's LUT-driven loads,
+  without ever building ``B'``.  Slots whose weight is exactly zero (2:4
+  padding) are skipped whenever the staged grid is finite, and a weight
+  that many slots share is multiplied into the staged grid once per sweep;
+  neither changes a bit.  Like the generated kernel's fixed operand
+  buffers, every buffer a sweep uses is carved from one per-thread scratch
+  arena, so a warm sweep allocates nothing.  Its launch timing is priced
+  once per prepared plan from the operand shapes.  A ``dense_mma`` (fp64)
+  plan gathers ``B'`` and runs the functional dense MMA every sweep.
 * ``"numpy"`` — a vectorised fast path: the effective (fused) kernel is
   applied directly as one shifted-view accumulation per tap, in float64.
   Elementwise and shape-independent, so sharded runs stay bit-identical to
@@ -62,6 +64,7 @@ import importlib.util
 import math
 import os
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
@@ -122,8 +125,30 @@ _FP16_MAX_BITS = 0x477FE000
 _FP16_FALLBACK_SHARE = 0.6
 
 
-def _round_fp16(values: np.ndarray) -> np.ndarray:
-    """``values.astype(float16).astype(float32)``, bit for bit.
+#: Grid elements :meth:`SlotTable.stage` rounds per block (whole rows of
+#: ``r_0`` leading-axis slices each): the block's fp32 copy and masks are
+#: all the rounding scratch an arena holds, however large the grid.
+_ROUND_BLOCK = 1 << 16
+
+
+class _RoundScratch(NamedTuple):
+    """Scratch of one rounding pass: ``size`` elements of each kind."""
+
+    probe: np.ndarray           # uint32: bit tests of the fp32 values
+    slow: np.ndarray            # bool: the lanes that take the cast chain
+    flag: np.ndarray            # bool: one test before it is or-ed in
+
+
+def _round_scratch(size: int) -> _RoundScratch:
+    return _RoundScratch(probe=np.empty(size, dtype=np.uint32),
+                         slow=np.empty(size, dtype=bool),
+                         flag=np.empty(size, dtype=bool))
+
+
+def _round_fp16(values: np.ndarray, out: Optional[np.ndarray] = None,
+                scratch: Optional[_RoundScratch] = None
+                ) -> Tuple[np.ndarray, bool]:
+    """``values.astype(float16).astype(float32)``, bit for bit, into ``out``.
 
     Holds for a real array of any dtype up to float64 and any layout.
     numpy's half casts run a scalar loop; this rounds in fp32 instead.  The
@@ -146,27 +171,57 @@ def _round_fp16(values: np.ndarray) -> np.ndarray:
     (fp32 and narrower inputs, and integers below ``2**24``, convert to
     fp32 exactly; larger integers overflow fp16 and fall back.)  ±0 stays
     on the fast path.  When more than ``_FP16_FALLBACK_SHARE`` of the lanes
-    fall back, the whole array takes the cast chain instead.  Returns a
-    C-contiguous fp32 array of ``values.shape``.
+    fall back, the whole array takes the cast chain instead.
+
+    ``out`` is a C-contiguous fp32 array of ``values.shape`` (a new one
+    when not given); ``scratch`` holds at least ``values.size`` elements of
+    each kind (allocated when not given).
+    Returns ``(out, finite)``: whether every rounded value is finite.  Only
+    a recomputed lane can be non-finite — the shortcut never exceeds 65504
+    — so ``finite`` is read from those lanes, after rounding: a float64
+    ``7e4`` is finite, its fp16 rounding is not.
     """
-    rounded = values.astype(np.float32, order="C")
-    bits = rounded.reshape(-1).view(np.uint32)
-    probe = np.bitwise_and(bits, 0x7FFFFFFF)
-    slow = probe > _FP16_MAX_BITS
+    if out is None:
+        out = np.empty(values.shape, dtype=np.float32)
+    if scratch is None:
+        scratch = _round_scratch(values.size)
+    size = values.size
+    probe, slow, flag = (scratch.probe[:size], scratch.slow[:size],
+                         scratch.flag[:size])
+    np.copyto(out, values, casting="unsafe")
+    bits = out.reshape(-1).view(np.uint32)
+    np.bitwise_and(bits, 0x7FFFFFFF, out=probe)
+    np.greater(probe, _FP16_MAX_BITS, out=slow)
     probe -= 1                  # ±0 wraps to 0xFFFFFFFF: not subnormal
-    slow |= probe < _FP16_MIN_NORMAL_BITS - 1
+    np.less(probe, _FP16_MIN_NORMAL_BITS - 1, out=flag)
+    slow |= flag
     np.bitwise_and(bits, 0x1FFF, out=probe)
-    slow |= probe == 0x1000
+    np.equal(probe, 0x1000, out=flag)
+    slow |= flag
     n_slow = np.count_nonzero(slow)
-    if n_slow > _FP16_FALLBACK_SHARE * slow.size:
-        return values.astype(np.float16).astype(np.float32, order="C")
+    if n_slow > _FP16_FALLBACK_SHARE * size:
+        np.copyto(out, values.astype(np.float16))
+        np.isfinite(bits.view(np.float32), out=flag)
+        return out, bool(flag.all())
     bits += 0x1000
     bits &= 0xFFFFE000
-    if n_slow:
-        lanes = np.flatnonzero(slow)
-        exact = values.reshape(-1)[lanes]
-        bits[lanes] = exact.astype(np.float16).astype(np.float32).view(np.uint32)
-    return rounded
+    if not n_slow:
+        return out, True
+    lanes = np.flatnonzero(slow)
+    exact = values.reshape(-1)[lanes].astype(np.float16).astype(np.float32)
+    bits[lanes] = exact.view(np.uint32)
+    return out, bool(np.isfinite(exact).all())
+
+
+def _cast_fp32(values: np.ndarray, out: np.ndarray,
+               scratch: _RoundScratch) -> Tuple[np.ndarray, bool]:
+    """Cast ``values`` into the fp32 array ``out``: the staging of a plan
+    whose device precision numpy holds as fp32.  Returns ``(out, finite)``
+    like :func:`_round_fp16`, read from ``out`` (a finite float64 past the
+    fp32 range casts to infinity)."""
+    np.copyto(out, values, casting="unsafe")
+    flag = scratch.flag[:out.size].reshape(out.shape)
+    return out, bool(np.isfinite(out, out=flag).all())
 
 
 class _SharedProducts(NamedTuple):
@@ -221,7 +276,8 @@ class SlotTable:
 
     Slots whose *weight* is exactly zero (the 2:4 padding) are kept in
     ``rows`` but left out of ``live_rows``, which :meth:`multiply` walks
-    when the staged buffer is finite.  That is bit-exact: a row's
+    when the staged buffer is finite — as :meth:`stage` read it from the
+    rounding, after rounding.  That is bit-exact: a row's
     accumulator starts at +0 and, under round-to-nearest-even, ``+0 + x`` is
     never −0, so it never holds −0; a zero weight times a finite operand is
     ±0, and adding ±0 to a value that is not −0 leaves it unchanged.  A zero
@@ -236,6 +292,18 @@ class SlotTable:
     buffer.  That is bit-exact too: each element of the shared product is
     the fp32 ``w * x`` the term would compute, and every row still adds its
     terms in slot order from +0.
+
+    The table holds plan constants only.  A sweep's buffers — the staged
+    grid, the fp32 accumulators, the term buffer, the shared products, and
+    a block of grid rows with its rounding masks — are views into the
+    calling thread's scratch arena: one byte buffer per thread, grown to
+    the largest table that thread has swept and never shrunk, freed when
+    the thread ends.  Each table's views are cached per thread and rebuilt
+    when the buffer regrows; the staged tile padding is zeroed again
+    whenever another table used the arena in between.  So the arrays
+    :meth:`stage` and :meth:`multiply` return — the staged buffer and the
+    fp32 ``D`` — are valid only until the same thread's next slot-table
+    sweep, threads never share one, and pickling a table carries none.
 
     Attributes
     ----------
@@ -275,22 +343,32 @@ class SlotTable:
         """Round ``grid`` to the device precision into the phase-split fp32 buffer.
 
         Exact: gathering and permuting ``B'`` only copy values, so rounding
-        the grid once equals rounding every ``B'`` element.  A grid staged
-        at fp16 is rounded by :func:`_round_fp16`, which matches numpy's
+        the grid once equals rounding every ``B'`` element.  The grid is
+        rounded a block of leading-axis rows at a time into an fp32 scratch
+        block — at fp16 by :func:`_round_fp16`, which matches numpy's
         ``astype(float16).astype(float32)`` bit for bit without its scalar
-        loops.  Tile padding stays zero.
+        loops — and each phase of the block is copied into its place in
+        the buffer.  Rounding contiguous blocks keeps the bit tests on long
+        runs; casting straight into the phases would run them on rows as
+        short as one phase row.  Tile padding stays zero.
+
+        The buffer is scratch of the calling thread's arena (see the class
+        docstring): valid until that thread's next slot-table sweep.
         """
-        require(tuple(grid.shape) == self.grid_shape,
+        if grid.shape != self.grid_shape:
+            raise ValidationError(
                 f"grid shape {tuple(grid.shape)} does not match the slot "
                 f"table's {self.grid_shape}")
-        staged = np.zeros(self.staged_shape, dtype=np.float32)
-        rounded = (grid if self.stage_dtype == np.float32
-                   else _round_fp16(grid))
-        for phase, residues in zip(staged, np.ndindex(*self.tile_extent)):
-            part = rounded[tuple(slice(q, None, r) for q, r
-                                 in zip(residues, self.tile_extent))]
-            phase[tuple(slice(0, s) for s in part.shape)] = part
-        return staged
+        views = _borrow(self)
+        round_into = _cast_fp32 if self.stage_dtype == np.float32 \
+            else _round_fp16
+        finite = True
+        for rows, block, copies in views.blocks:
+            finite &= round_into(grid[rows], block, views.rounding)[1]
+            for source, target in copies:
+                np.copyto(target, block[source])
+        views.finite = finite
+        return views.staged
 
     def multiply(self, staged: np.ndarray) -> np.ndarray:
         """``D = A'' @ B''`` over the slots of a :meth:`stage` buffer.
@@ -300,34 +378,164 @@ class SlotTable:
         on the materialised ``B''``; a finite buffer skips the zero-weight
         terms (``live_rows``), which cannot change a bit, and the terms of
         a shared weight add slices of one product of the whole buffer.
-        Returns the ``(m', n')`` product in float64, as the functional
-        device model does.
+        Whether the buffer :meth:`stage` returned is finite was read while
+        rounding it; any other buffer is tested here.
+
+        Returns ``D`` in fp32, viewed over the tile grid: shape
+        ``(m',) + tile_grid``, cropped from the accumulators, so row ``a``
+        reshaped is row ``a`` of the device model's ``(m', n')`` product.
+        It is scratch of the calling thread's arena, valid until that
+        thread's next slot-table sweep.
         """
         if not (staged.shape == self.staged_shape
                 and staged.dtype == np.float32 and staged.flags.c_contiguous):
             raise ValidationError(
                 "staged operand must be a C-contiguous fp32 buffer of shape "
                 f"{self.staged_shape}")
+        views = _borrow(self)
+        finite = (views.finite if staged is views.staged
+                  else bool(np.isfinite(staged).all()))
+        rows, shared = ((self.live_rows, self.live_shared) if finite
+                        else (self.rows, self.shared))
         flat = staged.reshape(-1)
         span = self.span
-        m = len(self.rows)
-        d = np.zeros((m, self.phase_size), dtype=np.float32)
-        term = np.empty(span, dtype=np.float32)
-        rows, shared = ((self.live_rows, self.live_shared)
-                        if np.isfinite(staged).all()
-                        else (self.rows, self.shared))
-        products = [flat * weight for weight in shared.weights]
-        for row, terms, picks in zip(d, rows, shared.picks):
-            acc = row[:span]
+        products = views.products
+        for product, weight in zip(products, shared.weights):
+            np.multiply(flat, weight, out=product)
+        term = views.term
+        for acc, terms, picks in zip(views.accumulators, rows, shared.picks):
+            acc.fill(0)
             for (offset, weight), pick in zip(terms, picks):
                 if pick < 0:
                     np.multiply(flat[offset:offset + span], weight, out=term)
                     acc += term
                 else:
                     acc += products[pick][offset:offset + span]
-        tiles = d.reshape((m,) + self.phase_shape)[
-            (slice(None),) + tuple(slice(0, t) for t in self.tile_grid)]
-        return tiles.astype(np.float64).reshape(m, -1)
+        return views.tiles
+
+
+def _block_rows(table: SlotTable) -> int:
+    """Leading-axis grid rows :meth:`SlotTable.stage` rounds per block: a
+    multiple of ``r_0``, so every block starts on phase row boundaries."""
+    r0 = table.tile_extent[0]
+    plane = math.prod(table.grid_shape[1:])
+    return min(r0 * max(1, _ROUND_BLOCK // (r0 * plane)),
+               table.grid_shape[0])
+
+
+def _arena_layout(table: SlotTable):
+    """``(parts, nbytes)``: the ``(dtype, shape, offset)`` of each view a
+    sweep of ``table`` carves from its thread's arena, in :class:`_Views`
+    order, and the bytes they span.  Each view starts 64-byte aligned."""
+    block = _block_rows(table) * math.prod(table.grid_shape[1:])
+    n_products = max(len(table.shared.weights),
+                     len(table.live_shared.weights))
+    parts, offset = [], 0
+    for dtype, shape in (
+            (np.float32, table.staged_shape),
+            (np.float32, (len(table.rows), table.phase_size)),
+            (np.float32, (table.span,)),
+            (np.float32, (n_products, math.prod(table.staged_shape))),
+            (np.float32, (block,)),
+            (np.uint32, (block,)), (np.bool_, (block,)),
+            (np.bool_, (block,))):
+        parts.append((dtype, shape, offset))
+        offset += -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
+    return parts, offset
+
+
+class _Views:
+    """One table's views into its thread's arena buffer.
+
+    In buffer order: the staged buffer, the ``(m', phase_size)`` fp32
+    accumulators, the term buffer, one staged-sized product per shared
+    weight (as many as either row set shares), an fp32 block of grid rows
+    and the rounding-mask scratch for it.  ``blocks`` lists, per block of
+    :func:`_block_rows` grid rows, its slice of the grid, its rounded fp32
+    view and the ``(block slices, staged view)`` copy of each phase;
+    ``pads`` covers the rest of every phase, the tile padding.  ``finite``
+    is what the last :meth:`SlotTable.stage` read.
+    """
+
+    __slots__ = ("staged", "blocks", "pads", "accumulators", "tiles", "term",
+                 "products", "rounding", "finite")
+
+    def __init__(self, table: SlotTable, buffer: np.ndarray, parts) -> None:
+        self.staged, d, self.term, self.products, block, *rounding = (
+            buffer[offset:offset + math.prod(shape) * np.dtype(dtype).itemsize]
+            .view(dtype).reshape(shape) for dtype, shape, offset in parts)
+        self.rounding = _RoundScratch(*rounding)
+        self.accumulators = tuple(row[:table.span] for row in d)
+        self.tiles = d.reshape((len(d),) + table.phase_shape)[
+            (slice(None),) + tuple(slice(0, t) for t in table.tile_grid)]
+
+        extent, shape = table.tile_extent, table.grid_shape
+        phases = [(phase, residues, tuple(
+                      len(range(q, g, r))
+                      for q, r, g in zip(residues, extent, shape)))
+                  for phase, residues in zip(self.staged,
+                                             np.ndindex(*extent))]
+        self.pads = tuple(
+            phase[(slice(None),) * axis + (slice(n, None),)]
+            for phase, _, part in phases
+            for axis, (n, full) in enumerate(zip(part, table.phase_shape))
+            if n < full)
+        step = _block_rows(table)
+        blocks = []
+        for start in range(0, shape[0], step):
+            rows = min(step, shape[0] - start)
+            rounded = block[:rows * math.prod(shape[1:])].reshape(
+                (rows,) + shape[1:])
+            first, copies = start // extent[0], []
+            for phase, residues, part in phases:
+                count = len(range(residues[0], rows, extent[0]))
+                copies.append((
+                    tuple(slice(q, None, r) for q, r in zip(residues, extent)),
+                    phase[(slice(first, first + count),)
+                          + tuple(slice(0, n) for n in part[1:])]))
+            blocks.append((slice(start, start + rows), rounded,
+                           tuple(copies)))
+        self.blocks = tuple(blocks)
+        self.finite = False
+
+
+class _Arena(threading.local):
+    """One thread's sweep scratch: a byte buffer grown to the largest
+    slot-table sweep the thread has run, each table's :class:`_Views` into
+    it (keyed by ``id``, checked through a weak reference, rebuilt when the
+    buffer regrows), and the views that borrowed it last."""
+
+    def __init__(self) -> None:
+        self.buffer = np.empty(0, dtype=np.uint8)
+        self.views: Dict[int, Tuple[weakref.ref, _Views]] = {}
+        self.owner: Optional[_Views] = None
+
+
+_ARENA = _Arena()
+
+
+def _borrow(table: SlotTable) -> _Views:
+    """``table``'s views into the calling thread's arena, padding zeroed."""
+    arena = _ARENA
+    entry = arena.views.get(id(table))
+    if entry is None or entry[0]() is not table:
+        parts, nbytes = _arena_layout(table)
+        if nbytes > arena.buffer.nbytes:
+            arena.buffer = np.empty(nbytes, dtype=np.uint8)
+            arena.views.clear()         # all of them view the old buffer
+        else:
+            for key in [key for key, (ref, _) in arena.views.items()
+                        if ref() is None]:
+                del arena.views[key]
+        entry = (weakref.ref(table), _Views(table, arena.buffer, parts))
+        arena.views[id(table)] = entry
+    views = entry[1]
+    if arena.owner is not views:
+        # another table's sweep may have written where this one pads
+        for pad in views.pads:
+            pad.fill(0)
+        arena.owner = views
+    return views
 
 
 def build_slot_table(conversion: ConversionResult, metadata: SparseMetadata,
@@ -719,8 +927,8 @@ class StencilBackend(abc.ABC):
 
         A sweep's modelled launch depends only on its plan: every sweep of
         one context returns ``context.priced_launch`` — :meth:`price` of that
-        context, priced once — with the functional output attached when the
-        backend produces one.  The single-device executor bills the launches
+        context, priced once, with no output (the built-in backends return
+        it as is).  The single-device executor bills the launches
         the sweeps return; the sharded engine bills a layout from
         :meth:`price` once, without sweeping; and the benchmark's
         exact-repeat check relies on the same fact.  A sweep that returned
@@ -783,7 +991,8 @@ class TcuSimBackend(StencilBackend):
             b_operand = gather_step(context, current)
             result = mma_step(context, b_operand)
             assemble_step(context, result, current)
-            return result
+            # the steps' arrays are the thread's arena scratch: none escapes
+            return context.priced_launch
 
         return sweep
 

@@ -19,15 +19,23 @@ generated kernel's stages:
    runs ``B'`` through the dense MMA model
    (:func:`~repro.tcu.dense_mma.dense_mma`).  Both attach the launch priced
    once per context from the plan's shapes
-   (:attr:`SweepContext.priced_launch`);
+   (:attr:`SweepContext.priced_launch`).  A sparse plan's ``D`` stays in
+   fp32, viewed over the tile grid (``(m',) + tile_grid``); a dense plan's
+   is the model's float64 ``(m', n')``;
 3. :func:`assemble_step` — scatter ``D`` into the grid interior in place:
    row ``a`` of ``D`` holds intra-tile offset ``o`` (row-major over the
    tile extents ``r``) of every tile, so it is written, cropped to the
    tiles that fit, straight into the strided view
    ``interior[o_0::r_0, o_1::r_1, ...]`` (:attr:`SweepContext.scatter`) —
-   for sparse and dense plans alike, with no intermediate grid.  The halo
-   ring is the *executor's* responsibility, per the plan's boundary
-   condition.
+   for sparse and dense plans alike, with no intermediate grid, widening
+   fp32 to float64 exactly on store.  The halo ring is the *executor's*
+   responsibility, per the plan's boundary condition.
+
+The arrays a sparse plan's :func:`gather_step` and :func:`mma_step` return
+are scratch of the calling thread's arena (see
+:class:`~repro.core.codegen.SlotTable`): valid only until that thread's
+next slot-table sweep.  Nothing borrowed leaves a sweep — the ``tcu-sim``
+sweep returns the priced launch without an output.
 
 :func:`prepare_sweep` precomputes everything the steps share for one plan;
 executors (:class:`SweepExecutor` implementations) own the loop around the
@@ -51,7 +59,7 @@ from repro.tcu.counters import combine_utilization
 from repro.tcu.dense_mma import dense_mma
 from repro.tcu.executor import LaunchResult
 from repro.tcu.spec import GPUSpec
-from repro.util.validation import require
+from repro.util.validation import ValidationError, require
 
 __all__ = [
     "SweepContext",
@@ -118,9 +126,8 @@ class SweepContext:
         context.
 
         Every sweep of a plan bills the same launch, so every sweep returns
-        this one — on the ``tcu-sim`` path with the sweep's output attached
-        — and the sharded engine prices a layout's bill from it once,
-        without sweeping.
+        this one, and the sharded engine prices a layout's bill from it
+        once, without sweeping.
         """
         return get_backend(self.compiled.backend).price(self)
 
@@ -142,6 +149,11 @@ class SweepContext:
              tuple(slice(0, len(range(o, extent, step)))
                    for o, extent, step in zip(offset, out_shape, r)))
             for offset in np.ndindex(*r))
+
+    @cached_property
+    def tiles_shape(self) -> Tuple[int, ...]:
+        """``D`` viewed over the tile grid: ``(m',) + tile_grid``."""
+        return (self.plan.m_prime,) + self.plan.lut.tile_grid
 
 
 def prepare_sweep(compiled: CompiledStencil,
@@ -172,8 +184,9 @@ def gather_step(context: SweepContext, current: np.ndarray) -> np.ndarray:
     """Stage 1: stage the MMA's B operand from the current grid.
 
     A plan with a slot table returns the grid rounded to the device
-    precision in its phase-split, tile-padded fp32 buffer; a dense plan
-    returns ``B'`` gathered through the LUTs.
+    precision in its phase-split, tile-padded fp32 buffer — arena scratch,
+    valid until the thread's next slot-table sweep; a dense plan returns
+    ``B'`` gathered through the LUTs.
     """
     plan = context.plan
     if plan.slot_table is not None:
@@ -184,10 +197,12 @@ def gather_step(context: SweepContext, current: np.ndarray) -> np.ndarray:
 def mma_step(context: SweepContext, b_operand: np.ndarray) -> LaunchResult:
     """Stage 2: run the fragment MMA on the simulated device.
 
-    A plan with a slot table multiplies the staged buffer slot by slot; a
-    dense plan runs ``B'`` through the dense MMA model.  Either way the
-    launch is the context's :attr:`~SweepContext.priced_launch` with the
-    product attached.
+    A plan with a slot table multiplies the staged buffer slot by slot
+    into fp32 ``D`` over the tile grid, ``(m',) + tile_grid`` — arena
+    scratch, valid until the thread's next slot-table sweep; a dense plan
+    runs ``B'`` through the dense MMA model into a float64 ``(m', n')``.
+    Either way the launch is the context's
+    :attr:`~SweepContext.priced_launch` with the product attached.
     """
     plan = context.plan
     if plan.slot_table is not None:
@@ -202,18 +217,26 @@ def assemble_step(context: SweepContext, result: LaunchResult,
                   current: np.ndarray) -> None:
     """Stage 3: scatter ``D`` into the grid interior, in place.
 
-    Each row of ``D``, viewed over the tile grid and cropped, is written
-    through its :attr:`~SweepContext.scatter` view; the result equals
-    :func:`~repro.core.morphing.assemble_output` written to the interior.
+    ``D`` is either the slot table's fp32 tiles, ``(m',) + tile_grid``, or
+    the device model's float64 ``(m', n')`` product, viewed over the tile
+    grid.  Each row, cropped, is written through its
+    :attr:`~SweepContext.scatter` view (an fp32 row widens to float64
+    exactly); the result equals :func:`~repro.core.morphing.assemble_output`
+    written to the interior.
     """
-    require(result.output is not None,
+    output = result.output
+    if output is None:
+        raise ValidationError(
             f"launch {result.name!r} produced no functional output")
-    plan = context.plan
-    require(result.output.shape == (plan.m_prime, plan.n_prime),
-            f"D has shape {result.output.shape}, expected "
-            f"{(plan.m_prime, plan.n_prime)}")
-    tiles = result.output.reshape((plan.m_prime,) + plan.lut.tile_grid)
-    for row, (target, crop) in zip(tiles, context.scatter):
+    tiles_shape = context.tiles_shape
+    if output.shape != tiles_shape:
+        d_shape = (tiles_shape[0], context.plan.n_prime)
+        if output.shape != d_shape:
+            raise ValidationError(
+                f"D has shape {output.shape}, expected {d_shape} or its "
+                f"tile view {tiles_shape}")
+        output = output.reshape(tiles_shape)
+    for row, (target, crop) in zip(output, context.scatter):
         current[target] = row[crop]
 
 
@@ -234,9 +257,9 @@ def billed_launch(launch: LaunchResult) -> LaunchResult:
     """``launch`` without its functional output, which is all a run bills.
 
     Executors keep one launch per sweep to total a run's modelled time;
-    keeping the sweep's ``(m', n')`` product too would hold every sweep's
-    ``D`` alive until the run ends.  The launch a backend returned stays
-    the one billed.
+    keeping a sweep's product too would hold every sweep's ``D`` alive
+    until the run ends.  The launch a backend returned stays the one
+    billed.
     """
     return launch if launch.output is None else replace(launch, output=None)
 

@@ -7,16 +7,22 @@ for bit, the reference data path it replaced:
 with the launch timing :func:`~repro.tcu.executor.execute_launch` bills.
 The in-place scatter of ``D`` into the grid is checked against
 ``assemble_output`` for the dense plans the generated suite does not draw,
-and the fp16 staging shortcut against numpy's half casts.
+and the fp16 staging shortcut against numpy's half casts.  A sweep's
+scratch comes from a per-thread arena shared by every slot table the
+thread sweeps; interleaved plans, threads and pickled plans must not see
+each other's bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import pickle
+import sys
+import threading
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import repro.engine.base as engine_base
 from repro.core import codegen
@@ -138,6 +144,15 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _product(context, data):
+    """The slot table's ``D`` for ``data``, widened exactly to the device
+    model's float64 ``(m', n')``: a step's fp32 tiles are arena scratch."""
+    tiles = mma_step(context, gather_step(context, data.copy())).output
+    assert tiles.dtype == np.float32
+    assert tiles.shape == (context.plan.m_prime,) + context.plan.lut.tile_grid
+    return tiles.astype(np.float64).reshape(context.plan.m_prime, -1)
+
+
 # grids scaled by 3e4 overflow fp16: inf and NaN arithmetic warns
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestDifferential:
@@ -154,7 +169,9 @@ class TestDifferential:
         expected = _oracle_sweep(context, old)
 
         assert _same_bits(new, old)
-        assert _same_bits(result.output, expected.output)
+        assert _same_bits(_product(context, grid.data), expected.output)
+        # the sweep's output is scratch: the launch it returns has none
+        assert result is context.priced_launch and result.output is None
         assert result.elapsed_seconds == expected.elapsed_seconds
         assert result.compute_seconds == expected.compute_seconds
         assert result.memory_seconds == expected.memory_seconds
@@ -287,11 +304,11 @@ class TestZeroWeightElision:
         data[4, 5], data[9, 13], data[16, 22] = 7e4, np.inf, np.nan
         context = prepare_sweep(compiled)
         new = data.copy()
-        result = run_sweep(context, new)
+        run_sweep(context, new)
         old = data.copy()
         expected = _oracle_sweep(context, old)
         assert _same_bits(new, old)
-        assert _same_bits(result.output, expected.output)
+        assert _same_bits(_product(context, data), expected.output)
 
 
 class TestSharedProducts:
@@ -322,18 +339,18 @@ class TestSharedProducts:
         data[5, 7], data[20, 33], data[41, 2] = np.inf, -np.inf, np.nan
         context = prepare_sweep(compiled)
         new = data.copy()
-        result = run_sweep(context, new)
+        run_sweep(context, new)
         old = data.copy()
         expected = _oracle_sweep(context, old)
         assert _same_bits(new, old)
-        assert _same_bits(result.output, expected.output)
+        assert _same_bits(_product(context, data), expected.output)
 
     def test_oracle_keeps_numpy_half_casts(self, monkeypatch):
         compiled, data = _heat_plan()
         context = prepare_sweep(compiled)
         expected = _oracle_sweep(context, data.copy())
 
-        def refuse(values):
+        def refuse(*args):
             raise AssertionError("the fp16 shortcut was called")
 
         monkeypatch.setattr(codegen, "_round_fp16", refuse)
@@ -397,9 +414,26 @@ class TestFp16Staging:
     def test_matches_numpy_half_casts(self, values):
         with np.errstate(over="ignore"):
             expected = values.astype(np.float16).astype(np.float32)
-            rounded = codegen._round_fp16(values)
+            rounded, finite = codegen._round_fp16(values)
         assert rounded.flags.c_contiguous
         assert _same_bits(rounded, expected)
+        assert finite == bool(np.isfinite(expected).all())
+
+    @given(values=fp64_arrays(), pad=st.integers(0, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_rounds_in_place_with_borrowed_scratch(self, values, pad):
+        """The staging's form: rounded into a given buffer, with masks
+        from scratch larger than the array and dirty from earlier use."""
+        out = np.full(values.shape, np.nan, dtype=np.float32)
+        scratch = codegen._round_scratch(values.size + pad)
+        for mask in scratch:
+            mask.view(np.uint8)[:] = 0xFF
+        with np.errstate(over="ignore"):
+            expected = values.astype(np.float16).astype(np.float32)
+            rounded, finite = codegen._round_fp16(values, out, scratch)
+        assert rounded is out
+        assert _same_bits(out, expected)
+        assert finite == bool(np.isfinite(expected).all())
 
     @given(values=fp64_arrays(),
            dtype=st.sampled_from([np.float32, np.float16]))
@@ -408,8 +442,9 @@ class TestFp16Staging:
         with np.errstate(over="ignore", invalid="ignore"):
             values = values.astype(dtype)
             expected = values.astype(np.float16).astype(np.float32)
-            rounded = codegen._round_fp16(values)
+            rounded, finite = codegen._round_fp16(values)
         assert _same_bits(rounded, expected)
+        assert finite == bool(np.isfinite(expected).all())
 
     @given(values=st.lists(st.one_of(
         st.integers(-2**63, 2**63 - 1),
@@ -421,8 +456,9 @@ class TestFp16Staging:
         values = np.array(values, dtype=np.int64)
         with np.errstate(over="ignore"):
             expected = values.astype(np.float16).astype(np.float32)
-            rounded = codegen._round_fp16(values)
+            rounded, finite = codegen._round_fp16(values)
         assert _same_bits(rounded, expected)
+        assert finite == bool(np.isfinite(expected).all())
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_fallback_share_picks_the_path(self, monkeypatch, extra):
@@ -447,8 +483,9 @@ class TestFp16Staging:
         monkeypatch.setattr(codegen.np, "flatnonzero", flatnonzero)
         with np.errstate(over="ignore"):
             expected = values.astype(np.float16).astype(np.float32)
-            rounded = codegen._round_fp16(values)
+            rounded, finite = codegen._round_fp16(values)
         assert _same_bits(rounded, expected)
+        assert not finite                   # 7e4 and NaN lanes
         assert picked == ([limit] if extra == 0 else [])
 
 
@@ -506,10 +543,227 @@ class TestScatter:
         assert replace(result, output=None) \
             == replace(expected, output=None) == context.priced_launch
 
+    def test_sparse_plan_scatters_fp32_tiles_and_float64_d(self):
+        """``assemble_step`` takes the slot table's fp32 tiles and the
+        device model's float64 ``(m', n')`` ``D`` alike, bit for bit."""
+        compiled, data = _heat_plan()
+        context = prepare_sweep(compiled)
+        result = mma_step(context, gather_step(context, data.copy()))
+        tiles = result.output
+        assert tiles.dtype == np.float32 and tiles.ndim == 3
+        d = tiles.astype(np.float64).reshape(compiled.plan.m_prime, -1)
+        from_tiles = data.copy()
+        assemble_step(context, result, from_tiles)
+        from_d = data.copy()
+        assemble_step(context, replace(result, output=d), from_d)
+        expected = data.copy()
+        expected[context.interior] = assemble_output(d, compiled.geometry())
+        assert _same_bits(from_tiles, expected)
+        assert _same_bits(from_d, expected)
+
     def test_scatter_rejects_a_misshapen_d(self):
         compiled, data = _heat_plan()
         context = prepare_sweep(compiled)
-        result = run_sweep(context, data.copy())
-        with pytest.raises(ValidationError, match="D has shape"):
-            assemble_step(context, replace(result, output=result.output[:, 1:]),
-                          data.copy())
+        result = mma_step(context, gather_step(context, data.copy()))
+        tiles = result.output
+        d = tiles.astype(np.float64).reshape(compiled.plan.m_prime, -1)
+        for bad in (tiles[:, 1:], d[:, 1:], d.reshape(-1)):
+            with pytest.raises(ValidationError, match="D has shape"):
+                assemble_step(context, replace(result, output=bad),
+                              data.copy())
+        with pytest.raises(ValidationError, match="no functional output"):
+            assemble_step(context, context.priced_launch, data.copy())
+
+
+def _staging_oracle(table, data) -> np.ndarray:
+    """The staged buffer built the plain way: zeros, then every phase of
+    the grid cast with numpy's own casts."""
+    staged = np.zeros(table.staged_shape, dtype=np.float32)
+    rounded = data.astype(table.stage_dtype).astype(np.float32)
+    for phase, residues in zip(staged, np.ndindex(*table.tile_extent)):
+        part = rounded[tuple(slice(q, None, r) for q, r
+                             in zip(residues, table.tile_extent))]
+        phase[tuple(slice(0, n) for n in part.shape)] = part
+    return staged
+
+
+def _on_fresh_thread(body) -> None:
+    """Run ``body`` on a new thread, whose arena starts empty, and re-raise
+    whatever it raised."""
+    failures = []
+
+    def run():
+        try:
+            body()
+        except BaseException as error:      # re-raised on the caller
+            failures.append(error)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    if failures:
+        raise failures[0]
+
+
+def _arena_bytes(compiled) -> int:
+    return codegen._arena_layout(compiled.plan.slot_table)[1]
+
+
+#: A plan whose arena outgrows any plan :func:`problems` draws.
+_GROWN = compile_stencil(StencilPattern.star(2, 1), (128, 128), search=False,
+                         r1=3, r2=2, backend="tcu-sim")
+
+
+# poisoned grids overflow fp16: inf and NaN arithmetic warns
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestArena:
+    @given(plans=st.lists(problems(), min_size=2, max_size=3),
+           before=st.lists(st.tuples(st.integers(0, 2), st.booleans()),
+                           min_size=1, max_size=4),
+           after=st.lists(st.tuples(st.integers(0, 2), st.booleans()),
+                          min_size=1, max_size=4),
+           last=st.integers(0, 2),
+           poison=st.sampled_from([7e4, np.inf]),
+           cell=st.integers(0, 2**31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_interleaved_plans_match_the_oracle(self, plans, before, after,
+                                                last, poison, cell):
+        """One thread sweeps plans of different dimension, shape and tile
+        extent in turn, a larger plan regrows its arena midway, and a
+        poisoned grid follows a finite one on the same plan.  Every staged
+        buffer must equal the plain staging — tile padding zero, whatever
+        the last plan wrote there — and lie in the thread's current arena
+        buffer; every grid must equal the oracle's."""
+        grown = (_GROWN, Grid(data=np.random.default_rng(cell)
+                              .standard_normal(_GROWN.grid_shape)))
+        assume(_arena_bytes(_GROWN)
+               > max(_arena_bytes(compiled) for compiled, _ in plans))
+        plans = plans + [grown]
+        n = len(plans) - 1
+        steps = ([(i % n, bad) for i, bad in before] + [(n, False)]
+                 + [(i % n, bad) for i, bad in after]
+                 + [(last % n, False), (last % n, True)])
+
+        def sweep_all():
+            buffers = []
+            for index, bad in steps:
+                compiled, grid = plans[index]
+                context = prepare_sweep(compiled)
+                data = grid.data.copy()
+                if bad:
+                    data.reshape(-1)[cell % data.size] = poison
+                staged = gather_step(context, data)
+                assert np.shares_memory(staged, codegen._ARENA.buffer)
+                buffers.append(codegen._ARENA.buffer)
+                assert _same_bits(staged, _staging_oracle(
+                    compiled.plan.slot_table, data))
+                result = mma_step(context, staged)
+                new = data.copy()
+                assemble_step(context, result, new)
+                old = data.copy()
+                expected = _oracle_sweep(context, old)
+                assert _same_bits(new, old)
+                assert _same_bits(result.output.astype(np.float64).reshape(
+                    compiled.plan.m_prime, -1), expected.output)
+                swept = data.copy()
+                run_sweep(context, swept)
+                assert _same_bits(swept, old)
+            # the grown plan regrew the arena, and nothing after it did
+            grown_at = len(before)
+            assert buffers[grown_at] is not buffers[grown_at - 1]
+            assert all(b is buffers[grown_at] for b in buffers[grown_at:])
+
+        _on_fresh_thread(sweep_all)
+
+    @given(problem=problems(), block=st.sampled_from([1, 7, 64, 300]))
+    @settings(**SETTINGS)
+    def test_blockwise_staging_matches_the_oracle(self, problem, block):
+        """The staging rounds the grid a few rows at a time; with small
+        blocks every drawn grid spans many of them, ragged last block
+        included."""
+        compiled, grid = problem
+
+        def sweep():
+            context = prepare_sweep(compiled)
+            table = compiled.plan.slot_table
+            views = codegen._borrow(table)
+            assert len(views.blocks) == -(-grid.data.shape[0]
+                                          // codegen._block_rows(table))
+            staged = gather_step(context, grid.data)
+            assert _same_bits(staged, _staging_oracle(table, grid.data))
+            new = grid.data.copy()
+            run_sweep(context, new)
+            old = grid.data.copy()
+            _oracle_sweep(context, old)
+            assert _same_bits(new, old)
+
+        # a fresh thread lays its arena out with the patched block
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codegen, "_ROUND_BLOCK", block)
+            _on_fresh_thread(sweep)
+
+
+def _sequential(jobs):
+    return [SingleDeviceExecutor().execute(compiled, grid, iterations).output
+            for compiled, grid, iterations in jobs]
+
+
+class TestThreadsAndPickling:
+    def test_concurrent_sweeps_match_sequential_runs(self):
+        """Two threads sweep one plan and a third another plan at once;
+        each thread's arena keeps their bytes apart."""
+        heat, data = _heat_plan()
+        box = compile_stencil(StencilPattern.box(3, 1), (14, 15, 16),
+                              search=False, r1=2, r2=3, backend="tcu-sim")
+        rng = np.random.default_rng(11)
+        jobs = [(heat, Grid(data=data), 40),
+                (heat, Grid(data=rng.random(data.shape)), 40),
+                (box, Grid(data=rng.random(box.grid_shape)), 40)]
+        expected = _sequential(jobs)
+        outputs = [None] * len(jobs)
+        start = threading.Barrier(len(jobs), timeout=60)
+
+        def run(index):
+            start.wait()
+            outputs[index] = _sequential([jobs[index]] * 3)
+
+        threads = [threading.Thread(target=run, args=(index,))
+                   for index in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # switch threads mid-sweep often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for want, got in zip(expected, outputs):
+            assert got is not None and len(got) == 3
+            assert all(_same_bits(output, want) for output in got)
+
+    def test_pickled_plan_sweeps_identically_without_scratch(self):
+        compiled, data = _heat_plan()
+        context = prepare_sweep(compiled)
+        run_sweep(context, data.copy())
+        blob = pickle.dumps(compiled)
+        for seed in range(3):
+            run_sweep(context,
+                      np.random.default_rng(seed).random(data.shape))
+        # sweeping leaves nothing on the plan for a pickle to carry
+        assert pickle.dumps(compiled) == blob
+        restored = pickle.loads(blob)
+        table = restored.plan.slot_table
+        assert set(vars(table)) <= ({f.name for f in fields(table)}
+                                    | {"staged_shape", "phase_size"})
+
+        expected = data.copy()
+        run_sweep(context, expected)
+        here = data.copy()
+        run_sweep(prepare_sweep(restored), here)
+        assert _same_bits(here, expected)
+        there = data.copy()
+        _on_fresh_thread(lambda: run_sweep(prepare_sweep(restored), there))
+        assert _same_bits(there, expected)
