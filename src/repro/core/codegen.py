@@ -132,7 +132,7 @@ _ROUND_BLOCK = 1 << 16
 
 
 class _RoundScratch(NamedTuple):
-    """Scratch of one rounding pass: ``size`` elements of each kind."""
+    """Masks of one rounding pass, at least one element per value."""
 
     probe: np.ndarray           # uint32: bit tests of the fp32 values
     slow: np.ndarray            # bool: the lanes that take the cast chain
