@@ -1,6 +1,6 @@
 """Migration reference: the pre-session API, side by side with the session.
 
-The five historical entry points still work — each one is a
+The four historical entry points still work — each one is a
 deprecation-warning shim delegating to the default
 :class:`repro.StencilSession`, so results are bit-identical — but new code
 should use the session directly.  The mapping:
@@ -17,7 +17,7 @@ Legacy call                            Session equivalent
 ``solve_sharded(p, grid, n,            ``session.solve(Problem(p, grid, n),
 devices=4)``                           SolvePolicy(mode="sharded", devices=4))``
 ``StencilServer.submit(p, grid, n)``   ``server.submit_problem(Problem(p, grid,
-                                       n))`` or ``session.solve(...,
+(removed)                              n))`` or ``session.solve(...,
                                        mode="served")``
 ``SolveRequest(...)``                  ``Problem(...)``
 =====================================  =============================================

@@ -61,7 +61,7 @@ layout morphing, sparsity conversion and the layout search entirely:
 (1, 1)
 
 The pre-session entry points (``run_stencil``, ``sparstencil_solve``,
-``solve_many``, ``solve_sharded``, ``StencilServer.submit``) remain as
+``solve_many``, ``solve_sharded``) remain as
 deprecation-warning shims delegating to the default session; the README's
 "Session API" section has the migration table.
 """

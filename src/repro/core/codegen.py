@@ -245,10 +245,17 @@ def _share_products(rows, span: int, staged_size: int) -> _SharedProducts:
     for terms in rows:
         for _, weight in terms:
             uses.setdefault(weight.tobytes(), []).append(weight)
-    index = {key: k for k, key in enumerate(
-        key for key, found in uses.items() if len(found) * span > staged_size)}
+    weights = tuple(found[0] for found in uses.values()
+                    if len(found) * span > staged_size)
+    return _pick_products(rows, weights)
+
+
+def _pick_products(rows, weights) -> _SharedProducts:
+    """``rows``' terms picked against the shared ``weights`` (by bit
+    pattern); a term whose weight is not among them multiplies its run."""
+    index = {weight.tobytes(): k for k, weight in enumerate(weights)}
     return _SharedProducts(
-        weights=tuple(uses[key][0] for key in index),
+        weights=weights,
         picks=tuple(tuple(index.get(weight.tobytes(), -1)
                           for _, weight in terms) for terms in rows))
 
@@ -291,7 +298,9 @@ class SlotTable:
     a weight is shared when its terms' runs hold more elements than the
     buffer.  That is bit-exact too: each element of the shared product is
     the fp32 ``w * x`` the term would compute, and every row still adds its
-    terms in slot order from +0.
+    terms in slot order from +0.  Both row sets share the products of
+    ``live_rows``, so the zero-weight terms of a non-finite sweep multiply
+    their own runs and a sweep never holds a product for a zero weight.
 
     The table holds plan constants only.  A sweep's buffers — the staged
     grid, the fp32 accumulators, the term buffer, the shared products, and
@@ -316,8 +325,8 @@ class SlotTable:
     phase_shape: extents of one phase of the staged buffer.
     span: elements in one slot's run.
     stage_dtype: device precision operands are rounded to before staging.
-    shared: the weights of ``rows`` whose product a sweep shares.
-    live_shared: the same for ``live_rows``.
+    shared: ``live_shared``'s weights, picked by the terms of ``rows``.
+    live_shared: the weights of ``live_rows`` whose product a sweep shares.
     """
 
     rows: Tuple[Tuple[Tuple[int, np.float32], ...], ...]
@@ -428,8 +437,7 @@ def _arena_layout(table: SlotTable):
     sweep of ``table`` carves from its thread's arena, in :class:`_Views`
     order, and the bytes they span.  Each view starts 64-byte aligned."""
     block = _block_rows(table) * math.prod(table.grid_shape[1:])
-    n_products = max(len(table.shared.weights),
-                     len(table.live_shared.weights))
+    n_products = len(table.live_shared.weights)
     parts, offset = [], 0
     for dtype, shape in (
             (np.float32, table.staged_shape),
@@ -449,7 +457,7 @@ class _Views:
 
     In buffer order: the staged buffer, the ``(m', phase_size)`` fp32
     accumulators, the term buffer, one staged-sized product per shared
-    weight (as many as either row set shares), an fp32 block of grid rows
+    weight of ``live_rows``, an fp32 block of grid rows
     and the rounding-mask scratch for it.  ``blocks`` lists, per block of
     :func:`_block_rows` grid rows, its slice of the grid, its rounded fp32
     view and the ``(block slices, staged view)`` copy of each phase;
@@ -602,6 +610,7 @@ def build_slot_table(conversion: ConversionResult, metadata: SparseMetadata,
                       for row in rows)
     span = sum((t - 1) * stride for t, stride in zip(tiles, phase_strides)) + 1
     staged_size = int(np.prod(extent)) * int(np.prod(phase_shape))
+    live_shared = _share_products(live_rows, span, staged_size)
     return SlotTable(
         rows=rows,
         live_rows=live_rows,
@@ -611,8 +620,8 @@ def build_slot_table(conversion: ConversionResult, metadata: SparseMetadata,
         phase_shape=phase_shape,
         span=span,
         stage_dtype=np.dtype(dtype.numpy_dtype),
-        shared=_share_products(rows, span, staged_size),
-        live_shared=_share_products(live_rows, span, staged_size),
+        shared=_pick_products(rows, live_shared.weights),
+        live_shared=live_shared,
     )
 
 

@@ -16,17 +16,16 @@ requests and drives those halves as fast as the (simulated) hardware allows:
   compiles once per dispatch and amortises across every request that shares
   it;
 * :mod:`repro.server.scheduler` — device-pool scheduler routing each
-  micro-batch to the :class:`~repro.engine.single.SingleDeviceExecutor` or
-  the :class:`~repro.engine.sharded.ShardedExecutor` with the existing
-  perf/scaling model, leasing devices through the
+  micro-batch to the session registry's ``single`` or ``sharded`` executor
+  with the existing perf/scaling model, leasing devices through the
   :class:`~repro.tcu.occupancy.OccupancyLedger` so occupancy can never
   exceed the pool;
 * :mod:`repro.server.telemetry` — rolling p50/p95/p99 latency, queue depth,
   coalescing ratio, cache hit rate and per-device utilization, exported as
   one plain dict;
 * :mod:`repro.server.facade` — the synchronous :class:`StencilServer`
-  (``submit`` / ``drain`` / ``shutdown``, context manager) exported from
-  :mod:`repro`.
+  (``submit_problem`` / ``drain`` / ``shutdown``, context manager)
+  exported from :mod:`repro`.
 """
 
 from repro.server.queue import (

@@ -7,7 +7,8 @@ compile cost amortises and the fewer cache lookups the hot path pays.  The
 waits for the first queued request, then keeps collecting for a short time
 window (cut short by the tightest request deadline and a size cap), and
 groups whatever arrived by compile fingerprint.  Each group becomes one
-:class:`MicroBatch`, which the dispatcher hands to the session's batch engine — so a
+:class:`MicroBatch`, which the dispatcher looks up in the compile cache once
+before the session's registry executors sweep its requests — so a
 micro-batch compiles its plan exactly once no matter how many requests it
 carries.
 """

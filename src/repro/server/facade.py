@@ -2,14 +2,17 @@
 
 One object owns the whole online path::
 
-    submit_problem() ──> RequestQueue ──> Coalescer ──> DevicePoolScheduler ──> session
-      (admission)          (bounded)     (fingerprint     (single / sharded,     (solve_batch /
-                                          micro-batches)   occupancy ledger)      sharded engine)
+    submit_problem() ──> RequestQueue ──> Coalescer ──> DevicePoolScheduler ──> registry
+      (admission)          (bounded)     (fingerprint     (single / sharded,     executors
+                                          micro-batches)   occupancy ledger)     (per request)
 
-The server is a thin adapter over a :class:`repro.StencilSession`: admission,
-coalescing and scheduling live here, but every micro-batch ultimately
-executes through the session's engine plumbing (and the session's compile
-cache), so served and direct solves share one code path.  A standalone
+The server is a thin adapter over a :class:`repro.StencilSession`:
+admission, coalescing and scheduling live here, but every request of a
+micro-batch executes through the session's
+:class:`~repro.session.registry.ExecutorRegistry` — the executor
+``session.solve(mode="single" | "sharded")`` would create, making the same
+call — against the session's compile cache, so served and direct solves
+share one code path.  A standalone
 ``StencilServer(devices=4)`` builds a private session;
 :meth:`repro.StencilSession.server` hands the server an existing one.
 
@@ -32,10 +35,9 @@ import asyncio
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Union
 
-from repro.core.pipeline import StencilRunResult
 from repro.obs.metrics import global_registry
 from repro.obs.trace import NULL_TRACER
 from repro.server.coalesce import Coalescer, MicroBatch
@@ -50,11 +52,8 @@ from repro.server.queue import (
 from repro.server.scheduler import RouteCancelledError
 from repro.server.telemetry import ServerTelemetry
 from repro.service.cache import CompileCache, rebrand
-from repro.session.problem import Problem, SolvePolicy
-from repro.stencils.grid import Grid
-from repro.stencils.pattern import StencilPattern
+from repro.session.problem import Problem, Solution, SolvePolicy
 from repro.tcu.spec import MultiDeviceSpec
-from repro.util.deprecation import warn_legacy
 from repro.util.validation import require, require_positive_int
 
 __all__ = ["ServerConfig", "ServerResult", "SubmitHandle", "StencilServer"]
@@ -77,13 +76,8 @@ class ServerConfig:
     default_deadline_seconds:
         Deadline applied to submissions that do not set their own
         (``None`` = no deadline).
-    min_speedup / max_halo_fraction / halo_depth / overlap:
-        The scheduler's sharding thresholds and communication-avoiding
-        knobs (see :class:`~repro.server.scheduler.DevicePoolScheduler`);
-        ``halo_depth=None`` searches for the cheapest modelled depth per
-        routing decision.
-    cache_capacity:
-        Capacity of the server-owned compile cache when none is injected.
+    latency_window:
+        Completed requests the rolling latency percentiles cover.
     lint_admission:
         Opt-in pre-flight gate: run the Tier-1 diagnostics
         (:func:`repro.lint.check_problem`) on every submission and reject
@@ -98,24 +92,19 @@ class ServerConfig:
     max_batch_size: int = 16
     max_workers: Optional[int] = None
     default_deadline_seconds: Optional[float] = None
-    min_speedup: float = 1.25
-    max_halo_fraction: float = 0.25
-    halo_depth: Optional[int] = None
-    overlap: bool = True
-    cache_capacity: int = 128
     latency_window: int = 2048
     lint_admission: bool = False
 
 
 @dataclass(frozen=True)
 class ServerResult:
-    """What a resolved :class:`SubmitHandle` yields."""
+    """What a resolved :class:`SubmitHandle` yields: the
+    :class:`~repro.session.Solution` of the registry executor the scheduler
+    routed the request to, plus the serving facts around it."""
 
-    run: StencilRunResult
+    solution: Solution
     tag: Optional[str]
     fingerprint: str
-    executor: str           # "single" | "sharded"
-    devices: int
     batch_size: int         # live requests in the dispatched micro-batch
     queue_wait_seconds: float
     service_seconds: float  # submit -> result, the client-visible latency
@@ -124,8 +113,22 @@ class ServerResult:
     trace_id: str = ""
 
     @property
+    def run(self):
+        """The engine's run result (single-device or sharded)."""
+        return self.solution.result
+
+    @property
+    def executor(self) -> str:
+        """The executor that ran the request: ``"single"`` | ``"sharded"``."""
+        return self.solution.provenance.executor
+
+    @property
+    def devices(self) -> int:
+        return self.solution.provenance.devices
+
+    @property
     def output(self):
-        return self.run.output
+        return self.solution.output
 
     @property
     def coalesced(self) -> bool:
@@ -184,7 +187,9 @@ class StencilServer:
     session:
         The :class:`repro.StencilSession` whose cache, pool and engines the
         server adapts.  When omitted (the standalone construction path) a
-        private session is built from ``devices`` / ``cache`` / ``config``;
+        private session is built from ``devices`` / ``cache`` /
+        ``config.max_workers`` (routing thresholds at their
+        :class:`~repro.session.SessionConfig` defaults);
         :meth:`repro.StencilSession.server` always passes its own.
         ``devices`` and ``cache`` are session properties and may not be
         given alongside one.
@@ -201,11 +206,6 @@ class StencilServer:
             session = StencilSession(SessionConfig(
                 devices=devices if devices is not None else 1,
                 cache=cache,
-                cache_capacity=self.config.cache_capacity,
-                min_speedup=self.config.min_speedup,
-                max_halo_fraction=self.config.max_halo_fraction,
-                halo_depth=self.config.halo_depth,
-                overlap=self.config.overlap,
                 max_workers=self.config.max_workers))
         else:
             require(devices is None and cache is None,
@@ -254,36 +254,6 @@ class StencilServer:
     # ------------------------------------------------------------------ #
     # client API (any thread, synchronous)
     # ------------------------------------------------------------------ #
-    def submit(self, pattern: StencilPattern, grid: Grid, iterations: int, *,
-               tag: Optional[str] = None,
-               deadline_seconds: Optional[float] = None,
-               **options: Any) -> SubmitHandle:
-        """Deprecated shim: build a :class:`~repro.session.Problem` and admit
-        it through :meth:`submit_problem`.
-
-        .. deprecated:: 1.1
-           Use :meth:`submit_problem` (or
-           ``StencilSession.solve(mode="served")`` for a blocking call).
-        """
-        warn_legacy("StencilServer.submit()",
-                    "StencilServer.submit_problem(Problem(...))")
-        problem = Problem(pattern=pattern, grid=grid, iterations=iterations,
-                          options=dict(options), tag=tag)
-        return self.submit_problem(problem, deadline_seconds=deadline_seconds)
-
-    def submit_request(self, request: Problem, *,
-                       deadline_seconds: Optional[float] = None
-                       ) -> SubmitHandle:
-        """Deprecated alias of :meth:`submit_problem`.
-
-        .. deprecated:: 1.1
-           The session layer renamed the request vocabulary: servers accept
-           :class:`~repro.session.Problem` via :meth:`submit_problem`.
-        """
-        warn_legacy("StencilServer.submit_request()",
-                    "StencilServer.submit_problem()")
-        return self.submit_problem(request, deadline_seconds=deadline_seconds)
-
     def submit_problem(self, problem: Problem, *,
                        deadline_seconds: Optional[float] = None
                        ) -> SubmitHandle:
@@ -453,7 +423,7 @@ class StencilServer:
             for batch in batches:
                 await self._dispatch_slots.acquire()
                 future = self._loop.run_in_executor(
-                    self._workers, self._execute_batch, batch)
+                    self._workers, self._serve_batch, batch)
                 # done callbacks run on the loop thread, so releasing the
                 # slot here is race-free with the acquire above
                 future.add_done_callback(
@@ -477,7 +447,7 @@ class StencilServer:
                                batch_size=batch.size,
                                fingerprint=batch.fingerprint)
 
-    def _execute_batch(self, batch: MicroBatch) -> None:
+    def _serve_batch(self, batch: MicroBatch) -> None:
         dispatch_start = time.perf_counter()
         live = []
         for item in batch.items:
@@ -496,11 +466,11 @@ class StencilServer:
             return
         tracer = self.tracer
         try:
-            # one compile per fingerprint: every path below (the session's
-            # batch engine, the sharded executor's per-shard plans, leftover
-            # plans) shares it through the session cache.  The worker thread
-            # carries no trace context, so the leader's span is re-bound
-            # here; the cache's own lookup span joins under it.
+            # one compile per fingerprint: every item below sweeps this plan
+            # (rebranded to its own pattern), and the executors' per-shard
+            # and leftover plans come from the same session cache.  The
+            # worker thread carries no trace context, so the leader's span
+            # is re-bound here; the cache's own lookup span joins under it.
             compile_start = time.perf_counter()
             with tracer.activate(live[0].span):
                 compiled = self.cache.get_or_compile(live[0].compile_request)
@@ -538,46 +508,28 @@ class StencilServer:
                                   reason=decision.reason)
             self.telemetry.batch_dispatched(
                 len(live), decision.executor, decision.devices)
+            spec = self.scheduler.spec_for(decision, compiled) \
+                if decision.sharded else None
             modelled = 0.0
             try:
-                if decision.sharded:
-                    spec = self.scheduler.spec_for(decision, compiled)
-                    for item in live:
-                        request = item.request
-                        plan = rebrand(compiled, item.compile_request)
-                        with tracer.activate(item.span):
-                            if request.iterations % compiled.temporal_fusion \
-                                    == 0:
-                                run = self.session.execute_sharded_plan(
-                                    plan, request.grid, request.iterations,
-                                    devices=spec, cache=self.cache,
-                                    halo_depth=decision.halo_depth,
-                                    overlap=decision.overlap)
-                                kind, used = "sharded", decision.devices
-                            else:
-                                # non-divisible stragglers on a sharded batch
-                                # run single-device (leftover sweeps need it
-                                # anyway)
-                                run = self.session.execute_plan(
-                                    plan, request.grid, request.iterations,
-                                    cache=self.cache)
-                                kind, used = "single", 1
-                        modelled += run.elapsed_seconds
-                        self._resolve(item, run, kind, used,
-                                      len(live), dispatch_start)
-                else:
-                    # coalesced single-device batches execute as one unit;
-                    # the engine's spans land in the leader's trace
-                    with tracer.activate(live[0].span):
-                        report = self.session.execute_batch(
-                            [item.request for item in live],
-                            cache=self.cache,
-                            compile_requests=[item.compile_request
-                                              for item in live])
-                    for item, batch_item in zip(live, report.items):
-                        modelled += batch_item.result.elapsed_seconds
-                        self._resolve(item, batch_item.result, "single", 1,
-                                      len(live), dispatch_start)
+                for item in live:
+                    request = item.request
+                    # a straggler (an iteration count the fused plan does
+                    # not divide) runs single-device: its leftover sweeps
+                    # need one device anyway
+                    mode = decision.executor \
+                        if request.iterations % compiled.temporal_fusion == 0 \
+                        else "single"
+                    policy = SolvePolicy(mode=mode, devices=spec,
+                                         halo_depth=decision.halo_depth,
+                                         overlap=decision.overlap)
+                    with tracer.activate(item.span):
+                        solution = self.session.registry.create(mode).solve(
+                            self.session, request, policy, cache=self.cache,
+                            compiled=rebrand(compiled, item.compile_request),
+                            compile_request=item.compile_request)
+                    modelled += solution.elapsed_seconds
+                    self._resolve(item, solution, len(live), dispatch_start)
             finally:
                 self.scheduler.ledger.release(lease,
                                               modelled_seconds=modelled)
@@ -586,24 +538,20 @@ class StencilServer:
                 if not item.future.done():
                     self._resolve_error(item, exc, type(exc).__name__)
 
-    def _resolve(self, item: QueuedRequest, run: StencilRunResult,
-                 executor: str, devices: int, batch_size: int,
-                 dispatch_start: float) -> None:
+    def _resolve(self, item: QueuedRequest, solution: Solution,
+                 batch_size: int, dispatch_start: float) -> None:
         end = time.perf_counter()
-        if item.tag is not None and run.tag != item.tag:
-            run = replace(run, tag=item.tag)
         span = item.span
         if span is not None:
-            span.set(executor=executor, devices=devices,
+            span.set(executor=solution.provenance.executor,
+                     devices=solution.provenance.devices,
                      batch_size=batch_size)
-            span.add_device_seconds(run.elapsed_seconds)
+            span.add_device_seconds(solution.elapsed_seconds)
             self.tracer.end(span)
         result = ServerResult(
-            run=run,
+            solution=solution,
             tag=item.tag,
             fingerprint=item.fingerprint,
-            executor=executor,
-            devices=devices,
             batch_size=batch_size,
             queue_wait_seconds=dispatch_start - item.enqueued_at,
             service_seconds=end - item.enqueued_at,

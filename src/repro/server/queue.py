@@ -1,9 +1,10 @@
 """Bounded request queue with admission control and typed backpressure.
 
-The online edge of the serving layer: every :meth:`StencilServer.submit`
-lands here.  Admission is decided *synchronously on the submitting thread* —
-a full queue, an already-expired deadline, or a closed server each raise a
-typed :class:`ServerError` subclass immediately, so a caller is never left
+The online edge of the serving layer: every
+:meth:`StencilServer.submit_problem` lands here.  Admission is decided
+*synchronously on the submitting thread* — a full queue, an
+already-expired deadline, or a closed server each raise a typed
+:class:`ServerError` subclass immediately, so a caller is never left
 holding a request that was silently dropped.  Accepted requests are handed
 to the asyncio dispatcher (the coalescer awaits :meth:`RequestQueue.get`)
 through a thread-safe deque plus a loop-side wakeup.

@@ -8,11 +8,12 @@ independent requests, which is what a deployment serving many users needs:
   ``(pattern, grid shape, dtype, device spec, layout options)``;
 * :mod:`repro.service.cache` — a thread-safe LRU :class:`CompileCache` with
   hit/miss statistics and optional on-disk plan persistence;
-* :mod:`repro.service.batch` — :func:`execute_batch`, the batched solve
-  engine behind :meth:`repro.StencilSession.solve_batch` (and the deprecated
-  ``solve_many`` / ``run_stencil_batch`` / ``solve_sharded`` shims), which
+* :mod:`repro.service.batch` — the compile half of
+  :meth:`repro.StencilSession.solve_batch` (and of the deprecated
+  ``solve_many`` / ``run_stencil_batch`` / ``solve_sharded`` shims): it
   groups heterogeneous requests by fingerprint, compiles each distinct plan
-  once (in parallel) and reports aggregate throughput.
+  once (in parallel), and reports aggregate throughput once the session's
+  registry executors have swept them.
 
 The canonical request type is :class:`repro.session.Problem`;
 ``SolveRequest`` survives as a deprecated alias of it.
@@ -29,7 +30,6 @@ from repro.service.batch import (
     BatchReport,
     Problem,
     SolveRequest,
-    execute_batch,
     run_stencil_batch,
     solve_many,
     solve_sharded,
@@ -47,7 +47,6 @@ __all__ = [
     "BatchReport",
     "Problem",
     "SolveRequest",
-    "execute_batch",
     "run_stencil_batch",
     "solve_many",
     "solve_sharded",

@@ -1,15 +1,15 @@
-"""Batched solve engine: group, compile once, sweep many.
+"""Batched solves: group, compile once, sweep many.
 
-:func:`execute_batch` takes a heterogeneous list of :class:`Problem`\\ s,
-groups them by compile fingerprint, compiles each *distinct* plan exactly
+:func:`compile_batch` takes a heterogeneous list of :class:`Problem`\\ s,
+groups them by compile fingerprint and compiles each *distinct* plan exactly
 once (layout search and the rest of the compile pipeline run in parallel
-across plans on a thread pool) and then executes every request against its
-shared plan.  The report carries per-request results plus the aggregate
-throughput and cache numbers a serving deployment would export as metrics.
+across plans on a thread pool).  :meth:`repro.StencilSession.solve_batch`
+then sweeps every request against its shared plan with the session's
+``single`` registry executor, and :meth:`CompiledBatch.report` gathers the
+per-request results plus the aggregate throughput and cache numbers a
+serving deployment would export as metrics.
 
-User code reaches this engine through :meth:`repro.StencilSession.solve_batch`
-(or the online server, whose micro-batches land here too).  The historical
-``solve_many`` / ``solve_sharded`` entry points remain as
+The historical ``solve_many`` / ``solve_sharded`` entry points remain as
 deprecation-warning shims that delegate to the default session, and
 ``SolveRequest`` is a deprecated alias of :class:`repro.session.Problem`.
 """
@@ -18,14 +18,10 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.pipeline import (
-    CompiledStencil,
-    StencilRunResult,
-    execute_compiled,
-)
+from repro.core.pipeline import CompiledStencil, StencilRunResult
 from repro.obs.trace import current_span, span as obs_span
 from repro.service.cache import CacheStats, CompileCache, rebrand
 from repro.service.fingerprint import CompileRequest
@@ -35,8 +31,7 @@ from repro.util.parallel import parallel_map
 from repro.util.validation import require, require_positive_int
 
 __all__ = ["Problem", "SolveRequest", "BatchItem", "BatchReport",
-           "execute_batch", "solve_many", "run_stencil_batch",
-           "solve_sharded"]
+           "solve_many", "run_stencil_batch", "solve_sharded"]
 
 
 class SolveRequest(Problem):
@@ -137,27 +132,74 @@ class BatchReport:
         }
 
 
-def execute_batch(
+@dataclass(frozen=True)
+class CompiledBatch:
+    """A batch grouped by compile fingerprint, each distinct plan compiled
+    once: what :meth:`repro.StencilSession.solve_batch` sweeps."""
+
+    problems: Tuple[Problem, ...]
+    compile_requests: Tuple[CompileRequest, ...]
+    #: the plan of each distinct fingerprint, compiled for the first
+    #: request that carries it
+    plans: Dict[str, CompiledStencil]
+    #: the cache the plans came from; it also serves the sweeps' leftover
+    #: plans (non-divisible iteration counts), once per fingerprint
+    cache: CompileCache
+    compiles_performed: int
+    cache_hits: int
+    compile_wall_seconds: float
+
+    def plan(self, index: int) -> CompiledStencil:
+        """The shared plan of request ``index``, carrying its own pattern
+        identity."""
+        request = self.compile_requests[index]
+        return rebrand(self.plans[request.fingerprint], request)
+
+    def report(self, solutions: Sequence[Any],
+               execute_wall_seconds: float) -> BatchReport:
+        """The :class:`BatchReport` of the sweep that produced
+        ``solutions`` (one :class:`~repro.session.Solution` per request,
+        in order)."""
+        counts = Counter(request.fingerprint
+                         for request in self.compile_requests)
+        return BatchReport(
+            items=tuple(
+                BatchItem(request=problem,
+                          compiled=solution.compiled,
+                          result=solution.result,
+                          fingerprint=request.fingerprint,
+                          shared_plan=counts[request.fingerprint] > 1)
+                for problem, request, solution in zip(
+                    self.problems, self.compile_requests, solutions)),
+            distinct_plans=len(self.plans),
+            compiles_performed=self.compiles_performed,
+            cache_hits=self.cache_hits,
+            compile_wall_seconds=self.compile_wall_seconds,
+            execute_wall_seconds=execute_wall_seconds,
+            # snapshot — the live stats keep mutating as the cache serves
+            # later batches, and a report must describe the batch it came from
+            cache_stats=self.cache.snapshot_stats(),
+        )
+
+
+def compile_batch(
     requests: Sequence[Problem],
     *,
     cache: Optional[CompileCache] = None,
     max_workers: Optional[int] = None,
     compile_requests: Optional[Sequence[CompileRequest]] = None,
-) -> BatchReport:
-    """Solve a batch of heterogeneous stencil problems (the engine behind
+) -> CompiledBatch:
+    """Group a batch of heterogeneous problems by compile fingerprint and
+    compile each distinct plan once (the compile half of
     :meth:`repro.StencilSession.solve_batch`).
 
-    Requests are grouped by compile fingerprint; each distinct fingerprint is
-    compiled at most once (served from ``cache`` when already warm, a private
-    per-batch cache otherwise), with distinct compilations — dominated by the
-    layout search — spread across a thread pool.  Execution then runs per
-    request in submission order, so the outputs are identical to sequential,
-    uncached single solves.
+    Plans are served from ``cache`` when already warm (a private per-batch
+    cache otherwise), with distinct compilations — dominated by the layout
+    search — spread across a thread pool.
 
     ``compile_requests``, when given, must be the per-request
     :class:`CompileRequest` objects in the same order; callers that already
-    resolved them (the online server does, at admission) skip re-deriving
-    each request's canonical fingerprint on the hot path.
+    resolved them skip re-deriving each request's canonical fingerprint.
     """
     requests = list(requests)
     require(len(requests) > 0, "a batch needs at least one request")
@@ -208,48 +250,15 @@ def execute_batch(
         cache_hits = len(events) - compiles_performed
         compile_span.set(compiles_performed=compiles_performed,
                          cache_hits=cache_hits)
-    compile_wall = time.perf_counter() - compile_start
 
-    fingerprint_counts = Counter(creq.fingerprint for creq in compile_requests)
-    shared = {fp for fp, count in fingerprint_counts.items() if count > 1}
-
-    execute_start = time.perf_counter()
-    items: List[BatchItem] = []
-    for request, creq in zip(requests, compile_requests):
-        # the shared plan was compiled for the first request on this
-        # fingerprint; every item still reports its own pattern identity
-        compiled = rebrand(plans[creq.fingerprint], creq)
-        # the batch cache also serves leftover plans (non-divisible
-        # iteration counts), so they compile once per fingerprint too
-        with obs_span("execute", fingerprint=creq.fingerprint,
-                      iterations=request.iterations,
-                      tag=request.tag) as execute_span:
-            result = execute_compiled(compiled, request.grid,
-                                      request.iterations, cache=cache)
-            execute_span.add_device_seconds(result.elapsed_seconds)
-        if request.tag is not None:
-            # stamp the request's tag onto the result itself, so results
-            # stay attributable after they leave the BatchItem wrapper
-            result = replace(result, tag=request.tag)
-        items.append(BatchItem(
-            request=request,
-            compiled=compiled,
-            result=result,
-            fingerprint=creq.fingerprint,
-            shared_plan=creq.fingerprint in shared,
-        ))
-    execute_wall = time.perf_counter() - execute_start
-
-    return BatchReport(
-        items=tuple(items),
-        distinct_plans=len(distinct),
+    return CompiledBatch(
+        problems=tuple(requests),
+        compile_requests=tuple(compile_requests),
+        plans=plans,
+        cache=cache,
         compiles_performed=compiles_performed,
         cache_hits=cache_hits,
-        compile_wall_seconds=compile_wall,
-        execute_wall_seconds=execute_wall,
-        # snapshot — the live stats keep mutating as the cache serves later
-        # batches, and a report must describe the batch it came from
-        cache_stats=cache.snapshot_stats(),
+        compile_wall_seconds=time.perf_counter() - compile_start,
     )
 
 

@@ -155,9 +155,11 @@ class ServedSessionExecutor(SessionExecutor):
     """Route through the session's online server (admission queue, coalescer,
     device-pool scheduler); blocks until the request resolves.
 
-    The server compiles through the *session* cache, so per-call cache
-    overrides cannot apply here and are rejected rather than silently
-    ignored.
+    The server sweeps the request with this registry's ``single`` or
+    ``sharded`` executor, so the provenance is built from that delegate's
+    :class:`~repro.session.problem.Solution`.  The server compiles through
+    the *session* cache, so per-call cache overrides cannot apply here and
+    are rejected rather than silently ignored.
     """
 
     name = "served"
@@ -173,29 +175,21 @@ class ServedSessionExecutor(SessionExecutor):
         handle = server.submit_problem(
             problem, deadline_seconds=policy.deadline_seconds)
         served = handle.result()
-        if compile_request is None:
-            compile_request = problem.compile_request()
-        if compiled is None and session.cache.contains(compile_request):
-            # the server compiled through the session cache, so this is a
-            # warm lookup that only fills Solution.compiled (the contains
-            # guard keeps an already-evicted plan from recompiling here)
-            compiled = session.cache.get_or_compile(compile_request)
+        delegate = served.solution
         return Solution(
-            result=served.run,
-            compiled=compiled,
+            result=delegate.result,
+            compiled=delegate.compiled,
             fingerprint=served.fingerprint,
             provenance=Provenance(
                 mode_requested=mode_requested or policy.mode,
                 executor=self.name,
-                engine=compiled.engine if compiled is not None else "",
-                devices=served.devices,
+                engine=delegate.provenance.engine,
+                devices=delegate.provenance.devices,
                 reason=reason or "served through the online scheduler",
                 batch_size=served.batch_size,
-                delegate=served.executor,
-                boundary=compiled.boundary if compiled is not None
-                else problem.boundary,
-                backend=compiled.backend if compiled is not None
-                else compile_request.options.backend),
+                delegate=delegate.provenance.executor,
+                boundary=delegate.provenance.boundary,
+                backend=delegate.provenance.backend),
             tag=problem.tag)
 
 

@@ -15,8 +15,13 @@ shard across the pool, and the decision is recorded in
 :attr:`Solution.provenance`.  Explicit modes (``single``, ``sharded``,
 ``served``, ``baseline:<name>``) pin the engine instead.
 
-The five legacy entry points (``run_stencil``, ``sparstencil_solve``,
-``solve_many``, ``solve_sharded``, ``StencilServer.submit``) are
+Every session-level solve reaches an engine through the session's
+:class:`~repro.session.registry.ExecutorRegistry`: ``solve`` creates the
+executor its mode names, ``solve_batch`` sweeps each item with the
+``single`` executor, and the online server sweeps each request of a
+micro-batch with the ``single`` or ``sharded`` executor its scheduler
+picked.  The four legacy entry points (``run_stencil``,
+``sparstencil_solve``, ``solve_many``, ``solve_sharded``) are
 deprecation-warning shims over :func:`default_session`, so old and new code
 share a single execution path.
 """
@@ -30,7 +35,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Union
 import numpy as np
 
 from repro.obs.metrics import MetricsRegistry, global_registry
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import NULL_TRACER, Tracer, span as obs_span
 from repro.server.scheduler import DevicePoolScheduler, RoutingDecision
 from repro.service.cache import CompileCache
 from repro.session.problem import Problem, Provenance, Solution, SolvePolicy
@@ -40,6 +45,7 @@ from repro.session.registry import (
     default_registry,
 )
 from repro.tcu.spec import MultiDeviceSpec
+from repro.util.timing import Timer
 from repro.util.validation import require
 
 __all__ = [
@@ -238,11 +244,36 @@ class StencilSession:
 
         ``cache=None`` reproduces the legacy ``solve_many`` behaviour of a
         private per-batch cache; by default the session cache is shared.
+        Every item sweeps on one device through the registry's ``single``
+        executor, in submission order, so the outputs are identical to
+        sequential ``solve(mode="single")`` calls.
         """
+        from repro.service.batch import compile_batch
+
         with self.tracer.span("solve_batch", requests=len(problems)):
-            report = self.execute_batch(problems, cache=cache,
-                                        max_workers=max_workers,
-                                        compile_requests=compile_requests)
+            batch = compile_batch(
+                problems,
+                cache=self.cache if cache is _UNSET else cache,
+                max_workers=max_workers if max_workers is not None
+                else self.config.max_workers,
+                compile_requests=compile_requests)
+            executor = self.registry.create("single")
+            policy = SolvePolicy(mode="single")
+            solutions = []
+            with Timer() as sweep:
+                for index, problem in enumerate(batch.problems):
+                    request = batch.compile_requests[index]
+                    with obs_span("execute", fingerprint=request.fingerprint,
+                                  iterations=problem.iterations,
+                                  tag=problem.tag) as execute_span:
+                        solution = executor.solve(
+                            self, problem, policy, cache=batch.cache,
+                            compiled=batch.plan(index),
+                            compile_request=request)
+                        execute_span.add_device_seconds(
+                            solution.elapsed_seconds)
+                    solutions.append(solution)
+            report = batch.report(solutions, sweep.elapsed)
         self._emit({"event": "solve_batch", **report.summary()})
         return report
 
@@ -254,10 +285,13 @@ class StencilSession:
         legacy ``run_stencil`` shim delegates to.  The original compile
         request is unknown here, so :attr:`Solution.fingerprint` is empty.
         """
+        from repro.engine.single import SingleDeviceExecutor
+
         with self.tracer.span("run", iterations=iterations,
                               tag=tag) as root_span:
-            result = self.execute_plan(compiled, grid, iterations,
-                                       cache=cache)
+            result = SingleDeviceExecutor(
+                cache=self.cache if cache is _UNSET else cache).execute(
+                    compiled, grid, iterations)
             root_span.add_device_seconds(result.elapsed_seconds)
             trace_id = root_span.trace_id
         if tag is not None:
@@ -385,59 +419,10 @@ class StencilSession:
                     max_batch_size=max_batch_size if max_batch_size is not None
                     else config.max_batch_size,
                     max_workers=config.max_workers,
-                    default_deadline_seconds=config.default_deadline_seconds,
-                    min_speedup=config.min_speedup,
-                    max_halo_fraction=config.max_halo_fraction,
-                    halo_depth=config.halo_depth,
-                    overlap=config.overlap,
-                    cache_capacity=config.cache_capacity)
+                    default_deadline_seconds=config.default_deadline_seconds)
                 self._server = StencilServer(session=self,
                                              config=server_config)
             return self._server
-
-    # ------------------------------------------------------------------ #
-    # engine plumbing shared with the server facade
-    # ------------------------------------------------------------------ #
-    def execute_batch(self, problems: Sequence[Problem], *,
-                      cache: Any = _UNSET,
-                      max_workers: Optional[int] = None,
-                      compile_requests: Optional[Sequence[Any]] = None) -> Any:
-        """:meth:`solve_batch` without the session telemetry event — the
-        server's micro-batches land here, so their requests are counted by
-        the *server's* telemetry only (a served solve otherwise double-emits
-        at the session level, and only on single-device routes)."""
-        from repro.service.batch import execute_batch
-
-        return execute_batch(
-            problems,
-            cache=self.cache if cache is _UNSET else cache,
-            max_workers=max_workers if max_workers is not None
-            else self.config.max_workers,
-            compile_requests=compile_requests)
-
-    def execute_plan(self, compiled: Any, grid: Any, iterations: int, *,
-                     cache: Any = _UNSET) -> Any:
-        """Single-device engine call on a precompiled plan (no Solution
-        wrapping) — the micro-batch path of the server funnels through
-        this, so served and direct execution share one code path."""
-        from repro.engine.single import SingleDeviceExecutor
-
-        call_cache = self.cache if cache is _UNSET else cache
-        return SingleDeviceExecutor(cache=call_cache).execute(
-            compiled, grid, iterations)
-
-    def execute_sharded_plan(self, compiled: Any, grid: Any, iterations: int,
-                             *, devices: Any, cache: Any = _UNSET,
-                             halo_depth: int = 1,
-                             overlap: bool = True) -> Any:
-        """Sharded engine call on a precompiled plan (no Solution wrapping)."""
-        from repro.engine.sharded import ShardedExecutor
-
-        call_cache = self.cache if cache is _UNSET else cache
-        executor = ShardedExecutor(devices, cache=call_cache,
-                                   max_workers=self.config.max_workers,
-                                   halo_depth=halo_depth, overlap=overlap)
-        return executor.execute(compiled, grid, iterations)
 
     # ------------------------------------------------------------------ #
     # lifecycle / observability

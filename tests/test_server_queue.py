@@ -18,15 +18,15 @@ from repro.server import (
     ServerClosedError,
     coalesce,
 )
-from repro.service import SolveRequest
+from repro.session import Problem
 from repro.stencils.grid import make_grid
 from repro.util.validation import ValidationError
 
 
 def queued(pattern, shape=(40, 44), iterations=2, seed=0, tag=None,
            deadline=None) -> QueuedRequest:
-    request = SolveRequest(pattern, make_grid(shape, seed=seed), iterations,
-                           tag=tag)
+    request = Problem(pattern, make_grid(shape, seed=seed), iterations,
+                      tag=tag)
     return QueuedRequest(request=request,
                          compile_request=request.compile_request(),
                          future=Future(),

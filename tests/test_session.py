@@ -3,7 +3,7 @@
 Covers the PR-4 acceptance criteria:
 
 * every legacy entry point (``run_stencil``, ``sparstencil_solve``,
-  ``solve_many``, ``solve_sharded``, ``StencilServer.submit``) emits a
+  ``solve_many``, ``solve_sharded``) emits a
   ``DeprecationWarning`` and returns results bit-identical to the session
   path it delegates to;
 * ``StencilSession.solve`` reproduces the golden fixtures across modes
@@ -33,6 +33,7 @@ from repro import (
     get_benchmark,
     make_grid,
 )
+from repro.engine import SingleDeviceExecutor
 from repro.service import CompileCache, SolveRequest
 from repro.session.registry import SessionExecutor, default_registry
 from repro.session.problem import Provenance
@@ -131,18 +132,6 @@ class TestLegacyShims:
         assert legacy.shard_grid == solution.result.shard_grid
         assert solution.provenance.executor == "sharded"
 
-    def test_server_submit_shim(self, heat2d):
-        grid = make_grid((48, 48), seed=5)
-        with repro.StencilServer(devices=1) as server:
-            with pytest.warns(DeprecationWarning,
-                              match="StencilServer.submit"):
-                legacy = server.submit(heat2d, grid, 2, tag="old").result(
-                    timeout=60)
-            direct = server.submit_problem(
-                Problem(heat2d, grid, 2, tag="new")).result(timeout=60)
-        assert np.array_equal(legacy.output, direct.output)
-        assert legacy.tag == "old" and direct.tag == "new"
-
     def test_run_stencil_batch_shim(self, session, heat2d):
         problems = [Problem(heat2d, make_grid((48, 48), seed=i), 2)
                     for i in range(2)]
@@ -151,13 +140,6 @@ class TestLegacyShims:
         report = session.solve_batch(problems)
         for old, new in zip(legacy, report.results):
             assert np.array_equal(old.output, new.output)
-
-    def test_submit_request_alias_warns(self, heat2d):
-        grid = make_grid((48, 48), seed=5)
-        with repro.StencilServer(devices=1) as server:
-            with pytest.warns(DeprecationWarning, match="submit_request"):
-                handle = server.submit_request(Problem(heat2d, grid, 2))
-            assert handle.result(timeout=60).output.shape == (48, 48)
 
 
 @pytest.mark.parametrize("name,grid_shape,iterations,seed", GOLDEN_CASES,
@@ -289,6 +271,19 @@ class TestTagsAndBatch:
             assert served.compiled is not None
             assert session.metrics()["server"]["completed"] >= 1
 
+    def test_server_submissions_keep_their_tags(self, session, heat2d):
+        grid = make_grid((48, 48), seed=5)
+        with repro.StencilServer(devices=1) as server:
+            old, new = (server.submit_problem(Problem(heat2d, grid, 2,
+                                                      tag=tag))
+                        for tag in ("old", "new"))
+            old, new = old.result(timeout=60), new.result(timeout=60)
+        direct = session.solve(Problem(heat2d, grid, 2), mode="single")
+        assert np.array_equal(old.output, direct.output)
+        assert np.array_equal(new.output, direct.output)
+        assert (old.tag, old.run.tag) == ("old", "old")
+        assert (new.tag, new.run.tag) == ("new", "new")
+
     def test_served_mode_rejects_cache_override(self, heat2d):
         grid = make_grid((48, 48), seed=3)
         with StencilSession(devices=1) as session:
@@ -335,8 +330,8 @@ class TestTelemetryAndRegistry:
                       mode_requested=None, reason=""):
                 compiled, creq = self._resolve_plan(
                     problem, cache, compiled, compile_request)
-                result = session.execute_plan(compiled, problem.grid,
-                                              problem.iterations, cache=cache)
+                result = SingleDeviceExecutor(cache=cache).execute(
+                    compiled, problem.grid, problem.iterations)
                 return Solution(
                     result=self._tagged(result, problem.tag),
                     compiled=compiled,

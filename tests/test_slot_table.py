@@ -15,6 +15,7 @@ each other's bytes.
 
 from __future__ import annotations
 
+import math
 import pickle
 import sys
 import threading
@@ -331,9 +332,11 @@ class TestSharedProducts:
         assert table.live_shared.weights == ()
         assert all(pick == -1 for row in table.live_shared.picks
                    for pick in row)
-        # the 2:4 padding's zero weight is the full rows' one shared product
-        assert [w.tobytes() for w in table.shared.weights] \
-            == [np.float32(0).tobytes()]
+        # the 2:4 padding's zero weight multiplies its own runs: the full
+        # rows share no product the live rows do not
+        assert table.shared.weights == ()
+        assert any(w == 0 for row in table.rows for _, w in row)
+        assert all(pick == -1 for row in table.shared.picks for pick in row)
 
         data = np.random.default_rng(9).standard_normal((64, 64))
         data[5, 7], data[20, 33], data[41, 2] = np.inf, -np.inf, np.nan
@@ -344,6 +347,21 @@ class TestSharedProducts:
         expected = _oracle_sweep(context, old)
         assert _same_bits(new, old)
         assert _same_bits(_product(context, data), expected.output)
+
+    @pytest.mark.parametrize("pattern,shape", [
+        (StencilPattern.star(2, 1, weights=[0.6, 0.1, 0.1, 0.1, 0.1]),
+         (512, 512)),
+        (StencilPattern.box(3, 1), (64, 64, 64)),
+    ], ids=["heat-2d-512", "box-27-64"])
+    def test_arena_holds_one_product_per_live_shared_weight(self, pattern,
+                                                            shape):
+        table = compile_stencil(pattern, shape,
+                                backend="tcu-sim").plan.slot_table
+        assert any(w == 0 for row in table.rows for _, w in row)
+        assert table.shared.weights == table.live_shared.weights
+        _, products, _ = codegen._arena_layout(table)[0][3]
+        assert products == (len(table.live_shared.weights),
+                            math.prod(table.staged_shape))
 
     def test_oracle_keeps_numpy_half_casts(self, monkeypatch):
         compiled, data = _heat_plan()
