@@ -22,7 +22,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.pipeline import CompiledStencil, execute_compiled
 from repro.stencils.grid import Grid
-from repro.stencils.partition import GridPartition
 from repro.stencils.pattern import StencilPattern
 from repro.tcu.spec import MultiDeviceSpec
 from repro.util.validation import require, require_positive_int
@@ -292,14 +291,13 @@ def deep_halo_tradeoff(
         require_positive_int(int(devices), "devices")
         spec = MultiDeviceSpec(device=compiled.spec,
                                device_count=int(devices))
-    feasible = GridPartition.max_halo_depth(
-        compiled.grid_shape, compiled.pattern.radius,
-        shard_grid if shard_grid is not None else spec.device_count,
-        align=compiled.plan.config.r, boundary=compiled.boundary)
+    # ``max_depth`` clamped to what the geometry supports, as runs clamp it
+    deepest = ShardedExecutor(spec, shard_grid=shard_grid,
+                              halo_depth=max_depth).partition(compiled)
 
     points = []
     resolved_grid: Tuple[int, ...] = ()
-    for depth in range(1, min(max_depth, feasible) + 1):
+    for depth in range(1, deepest.halo_depth + 1):
         executor = ShardedExecutor(spec, shard_grid=shard_grid, cache=cache,
                                    halo_depth=depth)
         if window_estimates:

@@ -6,17 +6,16 @@ after that:
 
 * :mod:`repro.engine.base` — the ``plan -> gather -> MMA -> assemble``
   step API and the :class:`SweepExecutor` protocol;
-* :mod:`repro.engine.single` — :class:`SingleDeviceExecutor`, the original
-  one-grid-one-device sweep loop (what ``execute_compiled`` wraps), now with
-  cross-sweep utilization aggregation and leftover-sweep support for
-  iteration counts not divisible by the temporal-fusion factor;
+* :mod:`repro.engine.single` — :class:`SingleDeviceExecutor` and the one
+  single-device stage walk kernels and programs run through, leftover
+  sweeps of a non-divisible temporal fusion on an unfused plan;
 * :mod:`repro.engine.sharded` — :class:`ShardedExecutor`, domain-decomposed
   execution across N simulated devices with communication-avoiding deep
-  halos (exchange once per ``halo_depth`` sweeps), modelled compute/comm
-  overlap, and the one round schedule every sharded path is priced and
-  run by (:class:`RoundSchedule` over a :class:`ShardGeometry`, billed by
-  :func:`price_schedule` for the scheduler and analysis layers and by the
-  executors' shared round loop) — bit-identical to the single-device run at
+  halos (exchange once per ``halo_depth`` sweeps) and modelled compute/comm
+  overlap, sharing its partition, layout and round loop with the sharded
+  program runner, and the one round schedule every sharded path is priced
+  and run by (:class:`RoundSchedule` over a :class:`ShardGeometry`, billed
+  by :func:`price_schedule`) — bit-identical to the single-device run at
   every depth.
 """
 

@@ -72,6 +72,7 @@ __all__ = [
     "summarize_launches",
     "original_points",
     "throughput_metrics",
+    "require_grid",
 ]
 
 
@@ -251,6 +252,18 @@ def run_sweep(context: SweepContext, current: np.ndarray) -> LaunchResult:
     contract.
     """
     return context.sweep(current)
+
+
+def require_grid(grid: Grid, shape: Tuple[int, ...], boundary: str) -> None:
+    """Reject a run whose grid does not match the plan's shape or boundary
+    (messages are built only on failure: this runs on every solve)."""
+    if tuple(grid.shape) != shape:
+        raise ValidationError(f"grid shape {tuple(grid.shape)} does not "
+                              f"match the compiled shape {shape}")
+    if grid.boundary != boundary:
+        raise ValidationError(
+            f"grid boundary {grid.boundary!r} does not match the compiled "
+            f"boundary {boundary!r} — recompile for this grid")
 
 
 def billed_launch(launch: LaunchResult) -> LaunchResult:

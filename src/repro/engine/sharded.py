@@ -32,24 +32,28 @@ Communication avoidance happens along two axes:
 The modelled wall time is the weak-scaling critical path: slowest shard per
 sweep plus whatever exchange time the overlap could not hide.
 
+A kernel is a one-stage program: :class:`ShardedExecutor` and
+:class:`repro.programs.ShardedProgramRunner` only lower their workload to
+:class:`ShardStages` and share the partition (:func:`shard_partition`),
+layout key, layout build and round loop of :class:`ShardedRunner`.
+
 One schedule, priced and executed by the same code.  A
 :class:`RoundSchedule` lists a run's rounds — an optional halo exchange,
 then ``(stage, window mult)`` sweeps — and a :class:`ShardGeometry` holds
 a partition's per-shard halo seconds and cell counts.  :class:`RoundBill`
 is the one per-sweep billing rule: :func:`price_schedule` walks a schedule
 with modelled per-window seconds — or with a layout's phase tables, whose
-plan-constant launches bill every modelled field of a run.  The one round
-loop both :class:`ShardedExecutor` and
-:class:`repro.programs.ShardedProgramRunner` run through
-(:meth:`ShardedRunner._run_schedule`) takes its whole bill from that walk,
-so a model and a run of one schedule agree to the bit by construction.
+plan-constant launches bill every modelled field of a run.  The round
+loop (:meth:`ShardedRunner._run_schedule`) takes its whole bill from that
+walk, so a model and a run of one schedule agree to the bit by
+construction.
 
 Everything a run derives from (plan, cluster, policy) alone — the
 partition with its precomputed extraction blocks and exchange ops, the
 round groups, one per-window phase table per stage (each phase with its
 sweep's priced launch) and the :class:`ShardGeometry` — is a
 :class:`ShardLayout`, built once per *layout key* (content, not identity;
-see each runner's ``_layout_key``) and memoized on the runner's compile
+see :meth:`ShardedRunner._layout_key`) and memoized on the runner's compile
 cache (:meth:`repro.service.CompileCache.shard_layout`), so per-window
 plans are compiled (or looked up) on a memo miss only.  The layout in turn
 memoizes the bill of each ``(schedule, overlap)`` it runs — ``overlap`` is
@@ -90,6 +94,7 @@ from repro.engine.base import (
     SweepContext,
     original_points,
     prepare_sweep,
+    require_grid,
     run_sweep,
     summarize_launches,
     throughput_metrics,
@@ -101,12 +106,13 @@ from repro.stencils.grid import Grid
 from repro.stencils.partition import GridPartition
 from repro.tcu.counters import UtilizationReport, combine_utilization
 from repro.tcu.executor import LaunchResult
-from repro.tcu.spec import GPUSpec, MultiDeviceSpec
+from repro.tcu.spec import GPUSpec, MultiDeviceSpec, device_key
 from repro.util.parallel import default_workers, parallel_map
 from repro.util.validation import require, require_positive_int
 
 __all__ = ["ShardedExecutor", "ShardedRunner", "ShardedRunResult",
-           "ShardGeometry", "ShardLayout", "Round", "RoundSchedule",
+           "ShardGeometry", "ShardLayout", "ShardStages", "bound_groups",
+           "shard_partition", "Round", "RoundSchedule",
            "RoundBill", "price_schedule", "window_request",
            "build_shard_phases", "run_shard_phase"]
 
@@ -218,26 +224,20 @@ class _ShardPhase:
 
 
 def build_shard_phases(compiled: CompiledStencil, spec: MultiDeviceSpec,
-                       partition: GridPartition, cache=None,
+                       partition: GridPartition, cache,
                        max_workers: Optional[int] = None
                        ) -> List[List[_ShardPhase]]:
-    """Compile (or fetch) one plan per (shard, window size), pinned to the
-    global layout.
+    """Compile (or fetch) one plan per (shard, window size) of one stage,
+    pinned to the stage's global layout.
 
-    Plans go through the compile cache keyed by the canonical fingerprint,
-    so the typical partition — interior shards all the same shape, edge
-    shards sharing a handful of remainder shapes, window shapes repeating
-    across shards — compiles each distinct shape exactly once.  Shared by
-    :class:`ShardedExecutor` and the program runner in
-    :mod:`repro.programs.executor`, which builds one phase table per stage
-    over a common partition.  Both call it only when building a
-    :class:`ShardLayout` — once per layout key, not once per run.
+    Plans go through ``cache`` (a :class:`repro.service.CompileCache`)
+    keyed by the canonical fingerprint, so the typical partition — interior
+    shards all the same shape, edge shards sharing a handful of remainder
+    shapes, window shapes repeating across shards — compiles each distinct
+    shape exactly once.  Called only when building a :class:`ShardLayout`
+    (:meth:`ShardedRunner._build_layout`, one table per stage) — once per
+    layout key, not once per run.
     """
-    from repro.service.cache import CompileCache
-
-    if cache is None:
-        cache = CompileCache(
-            capacity=max(8, partition.n_shards * partition.halo_depth))
 
     def request_for(shape: Tuple[int, ...]):
         return window_request(compiled, spec.device, shape)
@@ -401,21 +401,19 @@ class RoundSchedule:
     @classmethod
     @functools.lru_cache(maxsize=256)
     def kernel(cls, sweeps: int, halo_depth: int) -> "RoundSchedule":
-        """A kernel's ``sweeps`` in rounds of up to ``halo_depth``.  The
-        first round reads the initial extraction and needs no exchange;
-        nothing reads halos after the final sweep, so the last round may
-        be partial and no exchange follows it."""
-        return cls(tuple(
-            Round(start > 0,
-                  _round_sweeps([""] * min(halo_depth, sweeps - start)))
-            for start in range(0, sweeps, halo_depth)))
+        """A kernel's ``sweeps`` as one program step of its one stage,
+        chunked into rounds of up to ``halo_depth`` sweeps (the last may be
+        partial)."""
+        return cls.program(tuple(("",) * min(halo_depth, sweeps - start)
+                                 for start in range(0, sweeps, halo_depth)), 1)
 
     @classmethod
     @functools.lru_cache(maxsize=256)
     def program(cls, groups: Tuple[Tuple[str, ...], ...],
                 steps: int) -> "RoundSchedule":
-        """``steps`` program steps of one round per fusion group; only the
-        run's very first round skips the exchange."""
+        """``steps`` program steps of one round per fusion group.  Only the
+        run's very first round skips the exchange: it reads the initial
+        extraction, and nothing reads halos after the final sweep."""
         return cls(tuple(
             Round(step > 0 or index > 0, _round_sweeps(group), step)
             for step in range(steps) for index, group in enumerate(groups)))
@@ -607,8 +605,9 @@ class ShardLayout:
     """
 
     partition: GridPartition
-    #: stage names per round of a program step; ``()`` for a kernel, whose
-    #: rounds are up to ``halo_depth`` sweeps of its one stage
+    #: stage names per round of a program step, bounded by the partition's
+    #: ``halo_depth`` (:func:`shard_partition`); a kernel's are chunks of
+    #: ``("",) * halo_depth``
     groups: Tuple[Tuple[str, ...], ...]
     #: per-stage ``[shard][window mult]`` phase tables; a kernel's one
     #: stage is keyed ``""``
@@ -650,6 +649,67 @@ class ShardLayout:
         return bill
 
 
+@dataclass(frozen=True)
+class ShardStages:
+    """A kernel or a chain program lowered for sharded execution: each
+    stage's name and pinned plan in execution order (a kernel is one stage
+    named ``""``), the round groups before the geometry bounds them (a
+    kernel's ``("",) * halo_depth``), and the work's content in the layout
+    key."""
+
+    stages: Tuple[Tuple[str, CompiledStencil], ...]
+    groups: Tuple[Tuple[str, ...], ...]
+    identity: Tuple[Any, ...]
+
+    @property
+    def compiled(self) -> CompiledStencil:
+        """The first stage's plan (stages share grid, boundary, dtype and
+        device)."""
+        return self.stages[0][1]
+
+
+def bound_groups(groups: Tuple[Tuple[str, ...], ...], max_span: int
+                 ) -> Tuple[Tuple[str, ...], ...]:
+    """``groups`` re-chunked so no group exceeds ``max_span`` stages."""
+    require(max_span >= 1, f"max_span must be >= 1, got {max_span}")
+    return tuple(group[start:start + max_span] for group in groups
+                 for start in range(0, len(group), max_span))
+
+
+def shard_partition(work: ShardStages, shard_grid: Union[int, Sequence[int]]
+                    ) -> Tuple[GridPartition, Tuple[Tuple[str, ...], ...]]:
+    """Tile ``work``'s grid into ``shard_grid`` and bound its round groups.
+
+    Tiles align to the per-axis LCM of every stage's layout tiles, so each
+    stage's shard-local ``B'`` columns stay bit-identical to its global
+    plan's.  Groups are re-chunked to the deepest halo the geometry
+    supports (:meth:`GridPartition.max_halo_depth`), and the partition's
+    ``halo_depth`` is the longest chunk: a too-deep request degrades to
+    shallower halos rather than failing.
+    """
+    compiled = work.compiled
+    align = (1,) * len(compiled.grid_shape)
+    for name, stage in work.stages:
+        config = stage.plan.config
+        require(MorphConfig.from_r1_r2(stage.pattern.ndim, config.r1,
+                                       config.r2) == config,
+                f"{f'stage {name!r} ' if name else ''}layout config "
+                f"{config.r} is not expressible as (r1, r2) — sharded "
+                f"execution supports the standard morph layouts only")
+        align = tuple(math.lcm(a, int(extent))
+                      for a, extent in zip(align, config.r))
+    radius = max(stage.pattern.radius for _, stage in work.stages)
+    cap = GridPartition.max_halo_depth(
+        compiled.grid_shape, radius, shard_grid, align=align,
+        boundary=compiled.boundary)
+    groups = bound_groups(work.groups, cap)
+    partition = GridPartition.build(
+        compiled.grid_shape, radius, shard_grid, align=align,
+        boundary=compiled.boundary,
+        halo_depth=max(len(group) for group in groups))
+    return partition, groups
+
+
 _LAYOUT_COUNTERS = {
     "hit": ("engine.shard_layout_hits",
             "sharded runs whose layout came from the cache's layout memo"),
@@ -664,10 +724,10 @@ _LAYOUT_COUNTERS = {
 class ShardedRunner:
     """What :class:`ShardedExecutor` and
     :class:`repro.programs.ShardedProgramRunner` share: the cluster, the
-    shard grid, the compile cache that memoizes their layouts, and the
-    overlap model.  A subclass says how to key and build the layout of its
-    workload (a compiled kernel or a program plan) and which device a bare
-    device count clusters; ``execute`` runs that layout through
+    shard grid, the compile cache that memoizes their layouts, the overlap
+    model, and one partition / layout-key / layout-build path.  A subclass
+    only lowers its workload (a compiled kernel or a program plan) to
+    :class:`ShardStages`; ``execute`` runs the layout through
     :meth:`_run_schedule`.
     """
 
@@ -699,27 +759,72 @@ class ShardedRunner:
             return self.spec
         return MultiDeviceSpec(device=device, device_count=self._device_count)
 
-    def _check_fits(self, partition: GridPartition) -> GridPartition:
+    def _stages(self, work: Any) -> ShardStages:
+        """``work`` (a kernel or a program plan) lowered; per subclass."""
+        raise NotImplementedError
+
+    def _partition(self, stages: ShardStages
+                   ) -> Tuple[GridPartition, Tuple[Tuple[str, ...], ...]]:
+        """The partition and bounded round groups of a run on this runner's
+        shard grid (one shard per device by default)."""
+        shard_grid = self.shard_grid if self.shard_grid is not None \
+            else self._device_count
+        partition, groups = shard_partition(stages, shard_grid)
         require(partition.n_shards <= self._device_count,
                 f"{partition.n_shards} shards need more than the "
                 f"{self._device_count} available devices")
-        return partition
+        return partition, groups
 
-    def _lookup(self, work: Any, spec: MultiDeviceSpec
-                ) -> Tuple[ShardLayout, bool]:
-        build = functools.partial(self._build_layout, work, spec)
+    def _layout_key(self, work: Any, spec: MultiDeviceSpec
+                    ) -> Tuple[Any, ...]:
+        return self._key(self._stages(work), spec)
+
+    def _key(self, stages: ShardStages, spec: MultiDeviceSpec
+             ) -> Tuple[Any, ...]:
+        """Every input :meth:`_build_layout` reads: the work's identity
+        and round groups, the cluster device (it prices every window plan),
+        its size and link, and the shard grid."""
+        return (stages.identity, stages.groups, device_key(spec.device),
+                spec.device_count, spec.interconnect_bandwidth_gbs,
+                spec.link_latency_seconds, self.shard_grid)
+
+    def _build_layout(self, stages: ShardStages,
+                      spec: MultiDeviceSpec) -> ShardLayout:
+        """Partition the grid and compile every stage's window plans (a
+        memo miss); without a cache, through a private one."""
+        from repro.service.cache import CompileCache
+
+        partition, groups = self._partition(stages)
+        cache = self.cache if self.cache is not None else CompileCache(
+            capacity=max(8, partition.n_shards * partition.halo_depth
+                         * len(stages.stages)))
+        phases = {name: build_shard_phases(compiled, spec, partition, cache,
+                                           max_workers=self.max_workers)
+                  for name, compiled in stages.stages}
+        return ShardLayout(
+            partition=partition, groups=groups, phases=phases,
+            geometry=ShardGeometry.build(
+                partition, spec, stages.compiled.plan.dtype.itemsize))
+
+    def _lookup(self, stages: ShardStages
+                ) -> Tuple[MultiDeviceSpec, ShardLayout, bool]:
+        """The cluster and layout a run of ``stages`` executes on, and
+        whether the layout came from the cache's memo."""
+        spec = self._cluster(stages.compiled.spec)
+        build = functools.partial(self._build_layout, stages, spec)
         if self.cache is None:
-            return build(), False
-        return self.cache.shard_layout(self._layout_key(work, spec), build)
+            return spec, build(), False
+        return (spec, *self.cache.shard_layout(self._key(stages, spec),
+                                               build))
 
     def layout(self, work: Any) -> ShardLayout:
         """The layout a run of ``work`` executes on: read from the cache's
         layout memo (built and memoized on a miss), or built afresh without
         a cache.  Its :meth:`ShardLayout.window_seconds`, priced over the
         run's :class:`RoundSchedule`, is exactly what the run bills."""
-        return self._lookup(work, self.resolve_spec(work))[0]
+        return self._lookup(self._stages(work))[1]
 
-    def _fetch_layout(self, work: Any, **span_attrs: Any
+    def _fetch_layout(self, work: ShardStages, **span_attrs: Any
                       ) -> Tuple[MultiDeviceSpec, ShardLayout, float]:
         """The cluster and layout a run of ``work`` executes on, plus the
         host seconds the layout lookup (or build, on a miss) took.
@@ -728,9 +833,8 @@ class ShardedRunner:
         ``shard_compile`` span, tagged ``memo="hit"|"miss"``, under the
         ambient span.
         """
-        spec = self.resolve_spec(work)
         start = time.perf_counter()
-        layout, hit = self._lookup(work, spec)
+        spec, layout, hit = self._lookup(work)
         end = time.perf_counter()
         memo = "hit" if hit else "miss"
         global_registry().counter(*_LAYOUT_COUNTERS[memo]).inc()
@@ -946,75 +1050,28 @@ class ShardedExecutor(ShardedRunner):
         require_positive_int(halo_depth, "halo_depth")
         self.halo_depth = int(halo_depth)
 
-    # ------------------------------------------------------------------ #
-    # planning
-    # ------------------------------------------------------------------ #
-    def resolve_spec(self, compiled: CompiledStencil) -> MultiDeviceSpec:
-        """The cluster this run executes on: the configured
-        :class:`MultiDeviceSpec`, or — when the executor was built from a
-        bare device count — N copies of the *compiled plan's* device."""
-        return self._cluster(compiled.spec)
+    def _stages(self, compiled: CompiledStencil) -> ShardStages:
+        """One stage ``""`` in one round group of ``halo_depth``.  The
+        pinned full-grid request's fingerprint covers the grid, pattern,
+        temporal fusion, ``r1``/``r2``, boundary, backend and dtype; the
+        config rides along, as only an ``(r1, r2)`` config may shard."""
+        return ShardStages(
+            stages=(("", compiled),),
+            groups=(("",) * self.halo_depth,),
+            identity=("kernel", window_request(
+                compiled, compiled.spec, compiled.grid_shape).fingerprint,
+                compiled.plan.config))
 
     def partition(self, compiled: CompiledStencil) -> GridPartition:
-        """Tile the compiled grid, aligned to the plan's layout tiles.
+        """Tile the compiled grid, aligned to the plan's layout tiles, at
+        the requested ``halo_depth`` clamped to the deepest the geometry
+        supports (:func:`shard_partition`)."""
+        return self._partition(self._stages(compiled))[0]
 
-        The requested ``halo_depth`` is clamped to the deepest the geometry
-        supports (shards must own their deep ghost width; periodic wrap
-        images must stay tile-congruent)."""
-        config = compiled.plan.config
-        pattern = compiled.pattern
-        require(MorphConfig.from_r1_r2(pattern.ndim, config.r1, config.r2)
-                == config,
-                f"layout config {config.r} is not expressible as (r1, r2) — "
-                f"sharded execution supports the standard morph layouts only")
-        shard_grid = self.shard_grid if self.shard_grid is not None \
-            else self._device_count
-        depth = min(self.halo_depth, GridPartition.max_halo_depth(
-            compiled.grid_shape, pattern.radius, shard_grid, align=config.r,
-            boundary=compiled.boundary))
-        return self._check_fits(GridPartition.build(
-            compiled.grid_shape, pattern.radius, shard_grid, align=config.r,
-            boundary=compiled.boundary, halo_depth=depth))
-
-    def _layout_key(self, compiled: CompiledStencil,
-                    spec: MultiDeviceSpec) -> Tuple[Any, ...]:
-        """Every input :meth:`_build_layout` reads.  The pinned full-grid
-        request's fingerprint covers the grid shape, pattern, temporal
-        fusion, ``r1``/``r2``, boundary, backend, dtype and device; the
-        layout config rides along because only an ``(r1, r2)``-expressible
-        config may shard."""
-        return ("kernel",
-                window_request(compiled, spec.device,
-                               compiled.grid_shape).fingerprint,
-                compiled.plan.config, spec.device_count,
-                spec.interconnect_bandwidth_gbs, spec.link_latency_seconds,
-                self.shard_grid, self.halo_depth)
-
-    def _build_layout(self, compiled: CompiledStencil,
-                      spec: MultiDeviceSpec) -> ShardLayout:
-        """Partition the grid and compile every window plan (a memo miss)."""
-        partition = self.partition(compiled)
-        phases = build_shard_phases(compiled, spec, partition,
-                                    cache=self.cache,
-                                    max_workers=self.max_workers)
-        return ShardLayout(
-            partition=partition, groups=(), phases={"": phases},
-            geometry=ShardGeometry.build(partition, spec,
-                                         compiled.plan.dtype.itemsize))
-
-    # ------------------------------------------------------------------ #
-    # execution
-    # ------------------------------------------------------------------ #
     def execute(self, compiled: CompiledStencil, grid: Grid,
                 iterations: int) -> ShardedRunResult:
         require_positive_int(iterations, "iterations")
-        require(tuple(grid.shape) == compiled.grid_shape,
-                f"grid shape {tuple(grid.shape)} does not match the compiled "
-                f"shape {compiled.grid_shape}")
-        require(grid.boundary == compiled.boundary,
-                f"grid boundary {grid.boundary!r} does not match the "
-                f"compiled boundary {compiled.boundary!r} — recompile for "
-                f"this grid")
+        require_grid(grid, compiled.grid_shape, compiled.boundary)
         sweeps, leftover = fused_iterations(iterations,
                                             compiled.temporal_fusion)
         require(leftover == 0,
@@ -1023,17 +1080,17 @@ class ShardedExecutor(ShardedRunner):
                 f"(got {iterations}); run the leftover sweeps on the "
                 f"single-device executor")
 
-        spec, layout, shard_compile_seconds = self._fetch_layout(compiled)
+        spec, layout, shard_compile_seconds = self._fetch_layout(
+            self._stages(compiled))
         points = original_points(compiled, sweeps, 0)
-        overhead = dict(compiled.overhead_seconds)
-        overhead["shard_compile"] = shard_compile_seconds
         return self._run_schedule(
             layout, RoundSchedule.kernel(sweeps, layout.partition.halo_depth),
             grid.data,
             functools.partial(throughput_metrics, compiled, points),
             redundant_scale=compiled.temporal_fusion,
             iterations=iterations,
-            overhead_seconds=overhead,
+            overhead_seconds={**compiled.overhead_seconds,
+                              "shard_compile": shard_compile_seconds},
             sweeps=sweeps,
             points_updated=points,
             device_count=spec.device_count,

@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.engine.sharded import bound_groups
 from repro.programs.program import STATE, ProgramStage, StencilProgram
 from repro.service.fingerprint import CompileRequest, _digest
 from repro.stencils.boundary import normalize_boundary
@@ -81,8 +82,9 @@ class FusionPlan:
     can share one halo exchange: only chain programs fuse, and only
     consecutive stages of equal radius join a group (the deep-halo window
     shrink consumes one *radius* of ghost per sweep, so mixed radii would
-    desynchronise the shrink geometry).  Executors clamp group length to
-    what the partition geometry supports via :meth:`bounded`.
+    desynchronise the shrink geometry).  The sharded runners clamp group
+    length to what the partition geometry supports with :meth:`bounded`'s
+    rule, which bounds a kernel's ``("",) * halo_depth`` round group too.
     """
 
     groups: Tuple[Tuple[str, ...], ...]
@@ -99,13 +101,9 @@ class FusionPlan:
         return self.max_span > 1
 
     def bounded(self, max_span: int) -> Tuple[Tuple[str, ...], ...]:
-        """The groups re-chunked so no group exceeds ``max_span`` stages."""
-        require(max_span >= 1, f"max_span must be >= 1, got {max_span}")
-        out: List[Tuple[str, ...]] = []
-        for group in self.groups:
-            for start in range(0, len(group), max_span):
-                out.append(tuple(group[start:start + max_span]))
-        return tuple(out)
+        """The groups re-chunked so no group exceeds ``max_span`` stages
+        (:func:`repro.engine.sharded.bound_groups`)."""
+        return bound_groups(self.groups, max_span)
 
 
 def plan_fusion(program: StencilProgram) -> FusionPlan:

@@ -35,6 +35,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+# STATE, the reserved tap reference naming the program's evolving state
+# tensor, is the name the single-device walk gives a run's incoming state
+from repro.engine.single import STATE
 from repro.stencils.boundary import apply_boundary
 from repro.stencils.grid import Grid
 from repro.stencils.pattern import StencilPattern
@@ -47,9 +50,6 @@ __all__ = [
     "StencilProgram",
     "run_program_reference",
 ]
-
-#: The reserved tap reference naming the program's evolving state tensor.
-STATE = "state"
 
 
 def _as_taps(taps) -> Tuple[Tuple[str, StencilPattern], ...]:

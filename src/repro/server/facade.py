@@ -38,6 +38,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Union
 
+from repro.engine.sharded import ShardedRunResult
 from repro.obs.metrics import global_registry
 from repro.obs.trace import NULL_TRACER
 from repro.server.coalesce import Coalescer, MicroBatch
@@ -528,7 +529,12 @@ class StencilServer:
                             self.session, request, policy, cache=self.cache,
                             compiled=rebrand(compiled, item.compile_request),
                             compile_request=item.compile_request)
-                    modelled += solution.elapsed_seconds
+                    # device work, not wall time: a sharded run's
+                    # elapsed_seconds is the cluster's critical path
+                    result = solution.result
+                    modelled += sum(result.shard_elapsed_seconds) \
+                        if isinstance(result, ShardedRunResult) \
+                        else result.elapsed_seconds
                     self._resolve(item, solution, len(live), dispatch_start)
             finally:
                 self.scheduler.ledger.release(lease,

@@ -99,6 +99,8 @@ class TestStraggler:
             follower = server.submit_problem(Problem(
                 heat2d, grids[1], 3, options=options, tag="follower"))
             leader, follower = leader.result(300), follower.result(300)
+        # closing the server waits for the batch to release its lease
+        ledger = server.scheduler.ledger.snapshot()["per_device"]
 
         assert leader.batch_size == follower.batch_size == 2
         assert (leader.executor, leader.devices) == ("sharded", 4)
@@ -111,3 +113,11 @@ class TestStraggler:
                 Problem(heat2d, grid, iterations, options=options),
                 mode="single")
             assert served.output.tobytes() == expected.output.tobytes()
+
+        # the ledger records device work: every shard's seconds plus the
+        # straggler's, split evenly over the lease
+        work = sum(leader.run.shard_elapsed_seconds) \
+            + follower.run.elapsed_seconds
+        assert len(ledger) == 4
+        assert sum(device["modelled_seconds"] for device in ledger) \
+            == pytest.approx(work, rel=1e-12)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.codegen import DENSE_KERNEL_REGISTERS, SPARSE_KERNEL_REGISTERS
-from repro.core.pipeline import compile_stencil, run_stencil
+from repro.core.pipeline import compile_stencil
 from repro.engine import (
     SingleDeviceExecutor,
     SweepExecutor,
@@ -22,6 +22,7 @@ from repro.engine import (
 from repro.engine.base import summarize_launches
 from repro.programs import ProgramRunner, StencilProgram, compile_program
 from repro.service import CompileCache
+from repro.session import StencilSession
 from repro.stencils.grid import make_grid
 from repro.stencils.reference import run_stencil_iterations
 from repro.tcu.counters import UtilizationReport, combine_utilization
@@ -64,22 +65,23 @@ class TestSingleDeviceExecutor:
         compiled = compile_stencil(heat2d, (48, 48))
         grid = make_grid((48, 48), seed=4)
         via_engine = SingleDeviceExecutor().execute(compiled, grid, 3)
-        via_wrapper = run_stencil(compiled, grid, 3)
+        via_wrapper = StencilSession().run(compiled, grid, 3,
+                                           cache=None).result
         assert np.array_equal(via_engine.output, via_wrapper.output)
         assert via_engine.elapsed_seconds == via_wrapper.elapsed_seconds
 
     def test_points_updated_reported(self, heat2d):
         compiled = compile_stencil(heat2d, (48, 48))
         grid = make_grid((48, 48), seed=4)
-        result = run_stencil(compiled, grid, 3)
+        result = SingleDeviceExecutor().execute(compiled, grid, 3)
         assert result.points_updated == pytest.approx(3 * 46 * 46)
 
     def test_utilization_aggregates_identical_sweeps_exactly(self, heat2d):
         """Homogeneous sweeps must report the per-sweep counters unchanged."""
         compiled = compile_stencil(heat2d, (48, 48))
         grid = make_grid((48, 48), seed=4)
-        one = run_stencil(compiled, grid, 1)
-        many = run_stencil(compiled, grid, 4)
+        one = SingleDeviceExecutor().execute(compiled, grid, 1)
+        many = SingleDeviceExecutor().execute(compiled, grid, 4)
         assert many.utilization == one.utilization
 
 
@@ -142,7 +144,7 @@ class TestLeftoverSweeps:
         """sweeps fused + leftover plain must equal fused-then-plain reference."""
         grid = make_grid((44, 44), seed=8)
         compiled = compile_stencil(heat2d, (44, 44), temporal_fusion=2)
-        result = run_stencil(compiled, grid, iterations=5)
+        result = SingleDeviceExecutor().execute(compiled, grid, iterations=5)
         assert result.sweeps == 3           # 2 fused + 1 plain
         assert result.leftover_sweeps == 1
         reference = run_stencil_iterations(heat2d, grid, 5)
@@ -152,7 +154,7 @@ class TestLeftoverSweeps:
     def test_iterations_below_fusion_run_plain(self, heat2d):
         grid = make_grid((44, 44), seed=8)
         compiled = compile_stencil(heat2d, (44, 44), temporal_fusion=3)
-        result = run_stencil(compiled, grid, iterations=2)
+        result = SingleDeviceExecutor().execute(compiled, grid, iterations=2)
         assert result.sweeps == 2
         assert result.leftover_sweeps == 2
         reference = run_stencil_iterations(heat2d, grid, 2)
@@ -161,7 +163,7 @@ class TestLeftoverSweeps:
     def test_points_updated_counts_both_phases(self, heat2d):
         grid = make_grid((44, 44), seed=8)
         compiled = compile_stencil(heat2d, (44, 44), temporal_fusion=2)
-        result = run_stencil(compiled, grid, iterations=3)
+        result = SingleDeviceExecutor().execute(compiled, grid, iterations=3)
         fused_points = 2 * (44 - 2 * 2) ** 2   # one fused sweep, radius 2
         plain_points = 1 * (44 - 2 * 1) ** 2   # one plain sweep, radius 1
         assert result.points_updated == pytest.approx(fused_points + plain_points)
@@ -170,9 +172,9 @@ class TestLeftoverSweeps:
         grid = make_grid((44, 44), seed=8)
         cache = CompileCache()
         compiled = compile_stencil(heat2d, (44, 44), temporal_fusion=2)
-        run_stencil(compiled, grid, iterations=3, cache=cache)
+        SingleDeviceExecutor(cache=cache).execute(compiled, grid, iterations=3)
         assert cache.stats.misses == 1      # leftover plan compiled once
-        run_stencil(compiled, grid, iterations=3, cache=cache)
+        SingleDeviceExecutor(cache=cache).execute(compiled, grid, iterations=3)
         assert cache.stats.misses == 1
         assert cache.stats.hits == 1
 
@@ -194,7 +196,7 @@ class TestLeftoverEdgeCases:
     def test_single_iteration_under_fusion_runs_one_plain_sweep(self, heat2d):
         grid = make_grid((44, 44), seed=8)
         compiled = compile_stencil(heat2d, (44, 44), temporal_fusion=2)
-        result = run_stencil(compiled, grid, iterations=1)
+        result = SingleDeviceExecutor().execute(compiled, grid, iterations=1)
         assert result.sweeps == 1
         assert result.leftover_sweeps == 1
         reference = run_stencil_iterations(heat2d, grid, 1)
@@ -207,7 +209,8 @@ class TestLeftoverEdgeCases:
                                                    iterations):
         grid = make_grid((60, 60), seed=9)
         compiled = compile_stencil(heat2d, (60, 60), temporal_fusion=fusion)
-        result = run_stencil(compiled, grid, iterations=iterations)
+        result = SingleDeviceExecutor().execute(compiled, grid,
+                                                iterations=iterations)
         assert result.sweeps == iterations
         assert result.leftover_sweeps == iterations
         reference = run_stencil_iterations(heat2d, grid, iterations)

@@ -32,7 +32,7 @@ from repro import (
     model_program,
     run_program_reference,
 )
-from repro.engine.single import SingleDeviceExecutor
+from repro.engine import ShardedExecutor, SingleDeviceExecutor
 from repro.obs.metrics import global_registry
 from repro.programs import plan_fusion, stage_cache_attribution
 from repro.service.cache import CompileCache
@@ -50,6 +50,30 @@ BLUR = StencilPattern.box(2, 1, weights=[1.0 / 9.0] * 9)
 WIDE = StencilPattern.star(2, 2,
                            weights=[0.6, 0.05, 0.05, 0.05, 0.05,
                                     0.05, 0.05, 0.05, 0.05])
+
+
+#: Every boundary kind, Neumann with a non-zero flux included.
+BOUNDARIES = ["dirichlet", "periodic", "reflect", neumann(0.5)]
+
+#: Shares window plans across the one-stage examples' sharded runs.
+ONE_STAGE_CACHE = CompileCache()
+
+
+@lru_cache(maxsize=None)
+def _one_stage_plan(ndim, kind, radius, boundary, backend):
+    """A one-stage chain of a ``kind`` pattern and a grid to run it on."""
+    program = StencilProgram.chain(
+        "one", [("only", getattr(StencilPattern, kind)(ndim, radius))])
+    grid = make_grid({1: (64,), 2: (32, 32), 3: (16, 16, 16)}[ndim],
+                     kind="random", seed=3, boundary=boundary)
+    return compile_program(program, grid, ONE_STAGE_CACHE,
+                           options=dict(backend=backend)), grid
+
+
+def run_bill(result):
+    """A run's output bytes and modelled seconds."""
+    return (result.output.tobytes(), result.elapsed_seconds,
+            result.compute_seconds, result.memory_seconds)
 
 
 def two_stage_chain(name="heat-blur"):
@@ -242,16 +266,30 @@ class TestGoldenEquivalence:
         error = np.max(np.abs(result.output.astype(np.float64) - reference))
         assert error < FP16_TOL
 
-    def test_single_stage_program_matches_engine(self):
-        """A one-stage chain is bit-identical to the plain single-device
-        executor — the program layer adds no numerical drift."""
-        program = StencilProgram.chain("just-heat", [("heat", HEAT)])
-        grid = make_grid(SHAPE, kind="random", seed=3)
-        plan = compile_program(program, grid)
-        via_program = ProgramRunner().execute(plan, grid, STEPS)
-        via_engine = SingleDeviceExecutor().execute(
-            plan.stages[0].compiled[0], grid, STEPS)
-        assert np.array_equal(via_program.output, via_engine.output)
+    @settings(max_examples=24, deadline=None)
+    @given(ndim=st.integers(1, 3), kind=st.sampled_from(["star", "box"]),
+           radius=st.integers(1, 2), boundary=st.sampled_from(BOUNDARIES),
+           backend=st.sampled_from(["numpy", "tcu-sim"]),
+           iterations=st.integers(1, 5))
+    def test_single_stage_program_matches_engine(self, ndim, kind, radius,
+                                                 boundary, backend,
+                                                 iterations):
+        """A kernel is its one-stage program: on one device and on 2 and 4
+        shards, the program runners reproduce the kernel executors' output
+        bytes and modelled seconds exactly."""
+        plan, grid = _one_stage_plan(ndim, kind, radius, boundary, backend)
+        kernel = plan.stages[0].compiled[0]
+        pairs = [(SingleDeviceExecutor().execute(kernel, grid, iterations),
+                  ProgramRunner().execute(plan, grid, iterations))]
+        for shards in (2, 4):
+            pairs.append((
+                ShardedExecutor(shards, cache=ONE_STAGE_CACHE,
+                                halo_depth=1).execute(kernel, grid,
+                                                      iterations),
+                ShardedProgramRunner(shards, cache=ONE_STAGE_CACHE).execute(
+                    plan, grid, iterations)))
+        for via_kernel, via_program in pairs:
+            assert run_bill(via_program) == run_bill(via_kernel)
 
     def test_multi_tap_dag_matches_reference(self):
         identity = np.zeros((3, 3))
@@ -479,7 +517,7 @@ class TestSessionPrograms:
 # --------------------------------------------------------------------- #
 
 LAYOUT_SETTINGS = dict(max_examples=12, deadline=None)
-LAYOUT_BOUNDARIES = ["dirichlet", "periodic", "reflect", neumann(0.5)]
+LAYOUT_BOUNDARIES = BOUNDARIES
 #: Two device models differing on both roofline sides, so a memory-bound
 #: window plan is priced differently too.
 LAYOUT_DEVICES = [GPUSpec(),

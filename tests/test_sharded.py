@@ -19,10 +19,10 @@ from golden.generate_golden import CASES as GOLDEN_CASES, fixture_path
 from hypothesis import event, given, settings, strategies as st
 
 from repro import (Problem, SessionConfig, StencilSession, compile_stencil,
-                   get_benchmark, make_grid, run_stencil)
+                   get_benchmark, make_grid)
 from repro.analysis import (deep_halo_tradeoff, per_shard_utilization,
                             sharded_scaling)
-from repro.engine import ShardedExecutor, SweepExecutor
+from repro.engine import ShardedExecutor, SingleDeviceExecutor, SweepExecutor
 from repro.engine.sharded import (RoundSchedule, ShardGeometry,
                                   price_schedule)
 from repro.service import CompileCache, solve_sharded
@@ -54,7 +54,7 @@ class TestShardedEquivalence:
                                             devices):
         pattern, grid = workload(name, grid_shape, seed, boundary)
         compiled = compile_stencil(pattern, grid_shape, boundary=boundary)
-        single = run_stencil(compiled, grid, iterations)
+        single = SingleDeviceExecutor().execute(compiled, grid, iterations)
         sharded = ShardedExecutor(devices).execute(compiled, grid, iterations)
         assert np.array_equal(single.output, sharded.output)
 
@@ -83,7 +83,7 @@ class TestShardedExecutor:
         assert result.halo_exchange_bytes == 0.0
         assert result.halo_exchange_seconds == 0.0
         assert result.halo_traffic_fraction == 0.0
-        single = run_stencil(compiled, grid, 2)
+        single = SingleDeviceExecutor().execute(compiled, grid, 2)
         assert np.array_equal(result.output, single.output)
 
     def test_equal_shaped_shards_share_one_fingerprint(self, heat2d):
@@ -103,8 +103,8 @@ class TestShardedExecutor:
         result = ShardedExecutor(4, shard_grid=(4, 1)).execute(
             compiled, grid, 2)
         assert result.shard_grid == (4, 1)
-        assert np.array_equal(result.output,
-                              run_stencil(compiled, grid, 2).output)
+        single = SingleDeviceExecutor().execute(compiled, grid, 2)
+        assert np.array_equal(result.output, single.output)
 
     def test_more_shards_than_devices_rejected(self, heat2d):
         compiled = compile_stencil(heat2d, (64, 64))
@@ -121,7 +121,7 @@ class TestShardedExecutor:
     def test_temporal_fusion_stays_bit_identical(self, heat2d):
         compiled = compile_stencil(heat2d, (64, 64), temporal_fusion=2)
         grid = make_grid((64, 64), seed=3)
-        single = run_stencil(compiled, grid, 4)
+        single = SingleDeviceExecutor().execute(compiled, grid, 4)
         sharded = ShardedExecutor(2).execute(compiled, grid, 4)
         assert np.array_equal(single.output, sharded.output)
 
@@ -133,8 +133,8 @@ class TestShardedExecutor:
         result = ShardedExecutor(4).execute(compiled, grid, 1)
         assert result.halo_exchange_bytes == 0.0
         assert result.halo_exchange_seconds == 0.0
-        assert np.array_equal(result.output,
-                              run_stencil(compiled, grid, 1).output)
+        single = SingleDeviceExecutor().execute(compiled, grid, 1)
+        assert np.array_equal(result.output, single.output)
 
     def test_multi_device_accounting(self, heat2d):
         compiled = compile_stencil(heat2d, (96, 96))
@@ -172,7 +172,7 @@ def _deep_case(ndim, boundary):
     grid = make_grid(shape, kind="random", seed=11, boundary=boundary)
     compiled = compile_stencil(pattern, shape, boundary=boundary,
                                search=False, r1=8, r2=8)
-    single = run_stencil(compiled, grid, DEEP_ITERS)
+    single = SingleDeviceExecutor().execute(compiled, grid, DEEP_ITERS)
     return compiled, grid, single.output
 
 
@@ -245,8 +245,8 @@ class TestDeepHaloAccounting:
                                  halo_depth=5).execute(compiled, grid, 4)
         # 16-cell chunks hold at most radius + 1*step = 9 ghost cells
         assert result.halo_depth == 2
-        assert np.array_equal(result.output,
-                              run_stencil(compiled, grid, 4).output)
+        single = SingleDeviceExecutor().execute(compiled, grid, 4)
+        assert np.array_equal(result.output, single.output)
 
 
 class TestRoundModels:
@@ -530,7 +530,7 @@ class TestCustomBackendPricing:
         compiled = compile_stencil(heat2d, (64, 64), boundary=boundary,
                                    backend=backend.name)
         grid = make_grid((64, 64), seed=3, boundary=boundary)
-        single = run_stencil(compiled, grid, 3)
+        single = SingleDeviceExecutor().execute(compiled, grid, 3)
         sharded = ShardedExecutor(1, cache=CompileCache()).execute(
             compiled, grid, 3)
         assert np.array_equal(sharded.output, single.output)
@@ -539,8 +539,8 @@ class TestCustomBackendPricing:
             assert getattr(sharded, name) == getattr(single, name), name
         numpy = compile_stencil(heat2d, (64, 64), boundary=boundary,
                                 backend="numpy")
-        assert single.elapsed_seconds \
-            == run_stencil(numpy, grid, 3).elapsed_seconds * 3.0
+        plain = SingleDeviceExecutor().execute(numpy, grid, 3)
+        assert single.elapsed_seconds == plain.elapsed_seconds * 3.0
 
     def test_phase_launches_are_the_backend_price(self, backend, heat2d):
         from repro.engine.sharded import run_shard_phase
@@ -642,8 +642,8 @@ class TestSolveSharded:
     def test_matches_direct_pipeline(self, heat2d):
         grid = make_grid((96, 96), seed=9)
         compiled, result = solve_sharded(heat2d, grid, 2, devices=2)
-        assert np.array_equal(result.output,
-                              run_stencil(compiled, grid, 2).output)
+        single = SingleDeviceExecutor().execute(compiled, grid, 2)
+        assert np.array_equal(result.output, single.output)
         assert result.device_count == 2
 
     def test_cache_shared_between_global_and_shard_plans(self, heat2d):
