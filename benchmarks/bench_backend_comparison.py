@@ -25,13 +25,12 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import BENCH_GRIDS, BENCH_ITERATIONS, save_results
-from repro.core.codegen import available_backends
+from repro.core.codegen import registered_backends
 from repro.core.pipeline import compile_stencil, execute_compiled
 from repro.stencils.catalog import table2_benchmarks
 from repro.stencils.grid import make_grid
 
-#: Fast backend under comparison (always available; ``numba`` joins the
-#: sweep automatically when its import gate opens).
+#: Fast backend under comparison.
 FAST_BACKEND = "numpy"
 
 #: The acceptance gate from the backend-registry issue: the fast backend
@@ -121,7 +120,7 @@ def test_backend_speedup_gate(benchmark, results_dir):
         f"{ {n: r['wall_clock_speedup'] for n, r in _ROWS.items()} }")
     path = save_results("backend_comparison", _ROWS, config={
         "fast_backend": FAST_BACKEND,
-        "available_backends": available_backends(),
+        "registered_backends": registered_backends(),
         "target_speedup": TARGET_SPEEDUP,
         "min_kernels_at_target": MIN_KERNELS_AT_TARGET,
         "backend_tolerance": BACKEND_TOL,

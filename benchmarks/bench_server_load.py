@@ -10,7 +10,8 @@ the shape real serving traffic has) under two arrival patterns:
   completion (arrival-rate-bound clients; queueing shows up as latency).
 
 The baseline is the pre-serving deployment: sequential, uncached
-``sparstencil_solve`` calls, one compile per request.  Coalescing + the
+single-device solves (a fresh session per request), one compile per
+request.  Coalescing + the
 shared compile cache turn ``requests`` compiles into ``distinct
 fingerprints`` compiles, which is where the throughput multiple comes from.
 
@@ -64,12 +65,11 @@ def _workload():
 
 def _run_sequential(problems):
     """The pre-serving baseline: one-at-a-time, one compile per request
-    (``cache=None`` disables the session cache per call)."""
+    (a fresh session, and so a cold cache, per solve)."""
     outputs = []
-    with StencilSession() as session:
-        for problem in problems:
-            outputs.append(session.solve(problem, mode="single",
-                                         cache=None).output)
+    for problem in problems:
+        with StencilSession() as session:
+            outputs.append(session.solve(problem, mode="single").output)
     return outputs
 
 

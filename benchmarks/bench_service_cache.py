@@ -4,8 +4,9 @@ Quantifies what the serving layer buys on top of the paper's pipeline:
 
 * cold vs. warm compile latency per Table-2 kernel (a warm hit skips
   morphing, conversion and the layout search entirely);
-* batched ``solve_many`` throughput over a mixed 8-request workload versus
-  sequential uncached ``sparstencil_solve`` calls.
+* batched ``StencilSession.solve_batch`` throughput over a mixed
+  8-request workload versus sequential uncached single-device solves (a
+  fresh session per solve).
 
 Regenerate with::
 
@@ -70,21 +71,20 @@ def _mixed_problems():
 
 def test_batch_throughput(benchmark):
     problems = _mixed_problems()
-    session = StencilSession()
 
-    # the pre-service baseline: one-at-a-time, no cache (cache=None disables
-    # the session cache per call), one compile per request
+    # the pre-service baseline: one-at-a-time, no shared cache (a fresh
+    # session per solve), one compile per request
     sequential_start = time.perf_counter()
     sequential_provenance = None
     for problem in problems:
-        solution = session.solve(problem, mode="single", cache=None)
+        solution = StencilSession().solve(problem, mode="single")
         sequential_provenance = solution.provenance
     sequential_seconds = time.perf_counter() - sequential_start
 
-    cache = CompileCache()
-    session.solve_batch(problems, cache=cache)  # warm the cache once
+    session = StencilSession()
+    session.solve_batch(problems)  # warm the cache once
     report = benchmark.pedantic(session.solve_batch, args=(problems,),
-                                kwargs={"cache": cache}, rounds=5, iterations=1)
+                                rounds=5, iterations=1)
     batched_seconds = min(benchmark.stats.stats.data)
 
     summary = report.summary()

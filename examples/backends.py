@@ -30,9 +30,9 @@ from repro import (
     SolvePolicy,
     StencilPattern,
     StencilSession,
-    available_backends,
     get_backend,
     make_grid,
+    registered_backends,
     run_stencil_iterations,
 )
 
@@ -40,7 +40,7 @@ from repro import (
 def main() -> None:
     # 1. What is registered in this process?
     print("Registered backends:")
-    for name in available_backends():
+    for name in registered_backends():
         backend = get_backend(name)
         print(f"  {name:8s} {backend.description}")
 
@@ -55,7 +55,7 @@ def main() -> None:
     #    plan — a cached tcu-sim plan is never served to a numpy solve.
     with StencilSession() as session:
         solutions = {}
-        for name in available_backends():
+        for name in registered_backends():
             problem = Problem(heat, grid, iterations, tag=f"demo-{name}")
             start = time.perf_counter()
             solution = session.solve(problem, SolvePolicy(mode="single",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import compile_stencil, run_stencil
+from repro import StencilSession, compile_stencil
 from repro.stencils.domains import acoustic_wave
 from repro.stencils.grid import Grid
 
@@ -55,9 +55,11 @@ def main() -> None:
     radius = laplacian.radius
     interior = (slice(radius, -radius), slice(radius, -radius))
 
+    session = StencilSession()
     total_device_seconds = 0.0
     for step in range(TIME_STEPS):
-        lap_run = run_stencil(compiled, Grid(data=u_curr, dtype=np.float16), 1)
+        lap_run = session.run(compiled, Grid(data=u_curr, dtype=np.float16),
+                              1).result
         # The acoustic kernel *is* the discrete Laplacian, so the stencil
         # application gives L(u) directly on the interior region.
         laplacian_term = lap_run.output[interior]

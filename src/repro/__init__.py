@@ -60,10 +60,11 @@ layout morphing, sparsity conversion and the layout search entirely:
 >>> session.cache.stats.hits, session.cache.stats.misses
 (1, 1)
 
-The pre-session entry points (``run_stencil``, ``sparstencil_solve``,
-``solve_many``, ``solve_sharded``) remain as
-deprecation-warning shims delegating to the default session; the README's
-"Session API" section has the migration table.
+A precompiled plan runs through the same session with
+``session.run(compiled, grid, iterations)``, and a heterogeneous batch with
+``session.solve_batch(problems)``.  The README's "Removed in 2.0" table maps
+every entry point the 1.x series had beside the session to its
+replacement.
 """
 
 from repro.stencils import (
@@ -105,24 +106,16 @@ from repro.core import (
     generate_kernel,
     render_cuda_source,
     compile_stencil,
-    run_stencil,
-    SparStencilCompiler,
     StencilBackend,
     register_backend,
     get_backend,
     resolve_backend,
     registered_backends,
-    available_backends,
 )
-from repro.core.pipeline import sparstencil_solve
 from repro.service import (
     CompileCache,
     CompileRequest,
-    SolveRequest,
     BatchReport,
-    solve_many,
-    run_stencil_batch,
-    solve_sharded,
 )
 from repro.server import (
     StencilServer,
@@ -173,7 +166,6 @@ from repro.session import (
     ExecutorRegistry,
     SessionConfig,
     StencilSession,
-    default_session,
 )
 from repro.obs import (
     Span,
@@ -185,7 +177,7 @@ from repro.obs import (
     reset_global_registry,
 )
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "StencilPattern",
@@ -221,23 +213,15 @@ __all__ = [
     "generate_kernel",
     "render_cuda_source",
     "compile_stencil",
-    "run_stencil",
-    "sparstencil_solve",
-    "SparStencilCompiler",
     "search_layout_many",
     "StencilBackend",
     "register_backend",
     "get_backend",
     "resolve_backend",
     "registered_backends",
-    "available_backends",
     "CompileCache",
     "CompileRequest",
-    "SolveRequest",
     "BatchReport",
-    "solve_many",
-    "run_stencil_batch",
-    "solve_sharded",
     "StencilServer",
     "ServerConfig",
     "ServerResult",
@@ -278,7 +262,6 @@ __all__ = [
     "ExecutorRegistry",
     "SessionConfig",
     "StencilSession",
-    "default_session",
     "Span",
     "Tracer",
     "NULL_TRACER",

@@ -128,19 +128,18 @@ def compare_methods(
     (:meth:`repro.StencilSession.solve_baseline`) on the *same*
     :class:`repro.session.Problem`, so cross-method comparison uses exactly
     the routing and provenance machinery a production caller would.
-    ``session`` defaults to the process-wide default session.
+    ``session`` defaults to a fresh :class:`repro.StencilSession`.
 
     ``temporal_fusion`` maps method names to fusion factors (the Figure-6
     protocol applies 3x fusion to SparStencil and ConvStencil on small
     kernels); methods not listed run unfused.
     """
     from repro.baselines.registry import get_baseline
-    from repro.session import Problem
+    from repro.session import Problem, StencilSession
 
     require_positive_int(iterations, "iterations")
     if session is None:
-        from repro.session import default_session
-        session = default_session()
+        session = StencilSession()
     fusion_map = dict(temporal_fusion or {})
     comparison = MethodComparison(
         pattern_name=pattern.name,

@@ -44,11 +44,9 @@ from repro.core.codegen import (
     BACKEND_ENV_VAR,
     DEFAULT_BACKEND,
     KernelPlan,
-    NumbaBackend,
     NumpyBackend,
     StencilBackend,
     TcuSimBackend,
-    available_backends,
     generate_kernel,
     get_backend,
     register_backend,
@@ -57,7 +55,6 @@ from repro.core.codegen import (
     resolve_backend,
 )
 from repro.core.pipeline import (
-    SparStencilCompiler,
     CompileOptions,
     CompiledStencil,
     StencilRunResult,
@@ -65,7 +62,6 @@ from repro.core.pipeline import (
     compile_resolved,
     compile_stencil,
     resolve_compile_options,
-    run_stencil,
 )
 
 __all__ = [
@@ -108,15 +104,12 @@ __all__ = [
     "StencilBackend",
     "TcuSimBackend",
     "NumpyBackend",
-    "NumbaBackend",
     "DEFAULT_BACKEND",
     "BACKEND_ENV_VAR",
     "register_backend",
     "get_backend",
     "resolve_backend",
     "registered_backends",
-    "available_backends",
-    "SparStencilCompiler",
     "CompileOptions",
     "CompiledStencil",
     "StencilRunResult",
@@ -124,5 +117,4 @@ __all__ = [
     "compile_resolved",
     "compile_stencil",
     "resolve_compile_options",
-    "run_stencil",
 ]

@@ -39,8 +39,6 @@ hangs C/OpenMP/OpenCL transformers off a single kernel frontend:
   single-device; per-sweep device timing/utilisation are billed from the
   plan's roofline estimate, so modelled metrics stay comparable across
   backends.
-* ``"numba"`` — a JIT-compiled flat-gather loop, registered only when the
-  optional :mod:`numba` dependency imports.
 
 Every backend executes the *same* :class:`KernelPlan` (the compile pipeline
 is backend-independent); what changes is how a sweep is carried out on the
@@ -49,8 +47,8 @@ host.  The backend name joins the compile fingerprint
 backends, and it is recorded in :class:`repro.session.Provenance`.
 
 Tolerance contract: ``tcu-sim`` carries the simulated device's precision
-(fp16/bf16/tf32 operand rounding with fp32 accumulation); ``numpy`` /
-``numba`` compute in float64.  Outputs of any two backends therefore agree
+(fp16/bf16/tf32 operand rounding with fp32 accumulation); ``numpy``
+computes in float64.  Outputs of any two backends therefore agree
 within the *device* tolerance of the dtype (the ``ref_tol`` the golden suite
 already uses against the float64 reference — e.g. ~2e-2 absolute for fp16
 Table-2 workloads), and are bit-identical only where the math permits
@@ -60,7 +58,6 @@ Table-2 workloads), and are bit-identical only where the math permits
 from __future__ import annotations
 
 import abc
-import importlib.util
 import math
 import os
 import threading
@@ -93,14 +90,12 @@ __all__ = [
     "StencilBackend",
     "TcuSimBackend",
     "NumpyBackend",
-    "NumbaBackend",
     "DEFAULT_BACKEND",
     "BACKEND_ENV_VAR",
     "register_backend",
     "get_backend",
     "resolve_backend",
     "registered_backends",
-    "available_backends",
 ]
 
 #: Per-thread register budgets of the generated kernels.  The sparse kernel
@@ -916,15 +911,6 @@ class StencilBackend(abc.ABC):
     name: str = "backend"
     description: str = ""
 
-    def is_available(self) -> bool:
-        """Whether this backend can run in the current environment.
-
-        Backends gated on optional dependencies (``numba``) report ``False``
-        instead of failing at import time; resolving an unavailable backend
-        raises a :class:`~repro.util.validation.ValidationError`.
-        """
-        return True
-
     @abc.abstractmethod
     def make_sweep(self, context: "Any") -> Callable[[np.ndarray], LaunchResult]:
         """Build the per-sweep callable for one prepared plan.
@@ -1073,78 +1059,6 @@ class NumpyBackend(StencilBackend):
         return sweep
 
 
-#: Process-wide memo of the JIT-compiled numba gather kernel (compiled once,
-#: reused by every plan).
-_NUMBA_KERNEL: Optional[Callable] = None
-_NUMBA_KERNEL_LOCK = threading.Lock()
-
-
-def _numba_kernel() -> Callable:
-    global _NUMBA_KERNEL
-    with _NUMBA_KERNEL_LOCK:
-        if _NUMBA_KERNEL is None:
-            import numba
-
-            @numba.njit(parallel=True, cache=False)
-            def kernel(flat, base_idx, tap_offsets, weights, out):  # pragma: no cover - needs numba
-                for i in numba.prange(base_idx.size):
-                    acc = 0.0
-                    base = base_idx[i]
-                    for j in range(tap_offsets.size):
-                        acc += weights[j] * flat[base + tap_offsets[j]]
-                    out[i] = acc
-
-            _NUMBA_KERNEL = kernel
-    return _NUMBA_KERNEL
-
-
-class NumbaBackend(StencilBackend):
-    """JIT flat-gather sweep, gated on the optional :mod:`numba` import.
-
-    Every tap becomes one flat offset into the raveled grid; the JIT kernel
-    gathers and accumulates per interior cell in parallel.  Registered
-    unconditionally but :meth:`is_available` only when ``numba`` imports, so
-    environments without the dependency simply cannot resolve it.
-    """
-
-    name = "numba"
-    description = "numba-JIT flat-gather sweep over precomputed tap offsets"
-
-    def is_available(self) -> bool:
-        return importlib.util.find_spec("numba") is not None
-
-    def make_sweep(self, context):  # pragma: no cover - exercised only with numba installed
-        compiled = context.compiled
-        pattern = compiled.pattern
-        shape = compiled.grid_shape
-        radius = pattern.radius
-        interior = context.interior
-        template = context.priced_launch
-
-        strides = np.asarray(
-            [int(np.prod(shape[axis + 1:], dtype=np.int64))
-             for axis in range(len(shape))], dtype=np.int64)
-        tap_offsets = np.asarray(
-            [int(np.dot(offsets, strides)) for offsets in pattern.offsets],
-            dtype=np.int64)
-        weights = np.asarray(pattern.weights, dtype=np.float64)
-        interior_shape = tuple(size - 2 * radius for size in shape)
-        mesh = np.meshgrid(*[np.arange(radius, size - radius)
-                             for size in shape], indexing="ij")
-        base_idx = np.ravel_multi_index(
-            tuple(m.reshape(-1) for m in mesh), shape).astype(np.int64)
-        kernel = _numba_kernel()
-
-        def sweep(current: np.ndarray) -> LaunchResult:
-            flat = np.ascontiguousarray(current).reshape(-1)
-            out = np.empty(base_idx.size, dtype=np.float64)
-            kernel(flat, base_idx, tap_offsets, weights, out)
-            current[interior] = out.reshape(interior_shape)
-            return template
-
-        return sweep
-
-
 _BACKENDS: Dict[str, StencilBackend] = {}
 _BACKENDS_LOCK = threading.Lock()
 
@@ -1164,36 +1078,24 @@ def register_backend(backend: StencilBackend, *, replace: bool = False) -> None:
 
 
 def registered_backends() -> Tuple[str, ...]:
-    """Every registered backend name, available or not."""
+    """Every registered backend name."""
     with _BACKENDS_LOCK:
         return tuple(_BACKENDS)
 
 
-def available_backends() -> Tuple[str, ...]:
-    """Registered backends whose dependencies import in this environment."""
-    with _BACKENDS_LOCK:
-        backends = list(_BACKENDS.values())
-    return tuple(b.name for b in backends if b.is_available())
-
-
 def get_backend(name: str) -> StencilBackend:
-    """Look up one registered, available backend by name."""
+    """Look up one registered backend by name."""
     with _BACKENDS_LOCK:
         backend = _BACKENDS.get(name)
     if backend is None:
         raise ValidationError(
             f"unknown backend {name!r}; registered: "
             f"{sorted(registered_backends())}")
-    if not backend.is_available():
-        raise ValidationError(
-            f"backend {name!r} is registered but unavailable in this "
-            f"environment (missing optional dependency?); available: "
-            f"{sorted(available_backends())}")
     return backend
 
 
 def resolve_backend(name: Optional[str] = None) -> str:
-    """Canonicalise a backend request to a registered, available name.
+    """Canonicalise a backend request to a registered name.
 
     ``None`` falls back to the ``REPRO_BACKEND`` environment override, then
     to :data:`DEFAULT_BACKEND` — which is how the CI backend matrix pivots a
@@ -1206,4 +1108,3 @@ def resolve_backend(name: Optional[str] = None) -> str:
 
 register_backend(TcuSimBackend())
 register_backend(NumpyBackend())
-register_backend(NumbaBackend())

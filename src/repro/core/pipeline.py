@@ -9,9 +9,8 @@ time iterations on the simulated device, producing both the numerical result
 performance metrics the benchmark harness reports.
 
 User-facing solves go through the session layer
-(:class:`repro.StencilSession`); the historical :func:`run_stencil` /
-:func:`sparstencil_solve` entry points remain as deprecation-warning shims
-that delegate to the default session.
+(:class:`repro.StencilSession`); :func:`execute_compiled` and
+:func:`compile_cached` are the engine-level entries it shares.
 """
 
 from __future__ import annotations
@@ -44,14 +43,11 @@ __all__ = [
     "CompileOptions",
     "CompiledStencil",
     "StencilRunResult",
-    "SparStencilCompiler",
     "resolve_compile_options",
     "compile_resolved",
     "compile_stencil",
     "compile_cached",
     "execute_compiled",
-    "run_stencil",
-    "sparstencil_solve",
 ]
 
 
@@ -448,114 +444,8 @@ def execute_compiled(
     being recompiled on every call.
 
     This is the engine-layer entry the session facade and the other internal
-    callers share; user code goes through :meth:`repro.StencilSession.run`
-    (or the deprecated :func:`run_stencil` shim).
+    callers share; user code goes through :meth:`repro.StencilSession.run`.
     """
     from repro.engine.single import SingleDeviceExecutor
 
     return SingleDeviceExecutor(cache=cache).execute(compiled, grid, iterations)
-
-
-def run_stencil(
-    compiled: CompiledStencil,
-    grid: Grid,
-    iterations: int,
-    *,
-    cache=None,
-) -> StencilRunResult:
-    """Deprecated shim: run a compiled stencil through the default session.
-
-    .. deprecated:: 1.1
-       Use :meth:`repro.StencilSession.run` (its :class:`Solution` carries
-       the same :class:`StencilRunResult` plus provenance).  This shim
-       delegates to :func:`repro.session.default_session` and returns the
-       bit-identical run result.
-    """
-    from repro.session import default_session
-    from repro.util.deprecation import warn_legacy
-
-    warn_legacy("run_stencil()", "StencilSession.run()")
-    return default_session().run(compiled, grid, iterations,
-                                 cache=cache).result
-
-
-def sparstencil_solve(
-    pattern: StencilPattern,
-    grid: Grid,
-    iterations: int,
-    cache=None,
-    **compile_kwargs,
-) -> Tuple[CompiledStencil, StencilRunResult]:
-    """Deprecated shim: compile-and-run through the default session.
-
-    .. deprecated:: 1.1
-       Use :meth:`repro.StencilSession.solve` with a
-       :class:`repro.session.Problem` (``mode="single"`` reproduces this
-       call exactly; ``mode="auto"`` additionally routes large grids to the
-       sharded engine).  Returns the bit-identical
-       ``(CompiledStencil, StencilRunResult)`` pair.
-    """
-    from repro.session import Problem, SolvePolicy, default_session
-    from repro.util.deprecation import warn_legacy
-
-    warn_legacy("sparstencil_solve()", "StencilSession.solve()")
-    solution = default_session().solve(
-        Problem(pattern, grid, iterations, options=compile_kwargs),
-        SolvePolicy(mode="single"), cache=cache)
-    return solution.compiled, solution.result
-
-
-class SparStencilCompiler:
-    """Object-style facade over :func:`compile_stencil` / :func:`run_stencil`.
-
-    Useful when compiling many stencils against the same device configuration:
-
-    >>> compiler = SparStencilCompiler()
-    >>> compiled = compiler.compile(pattern, (128, 128))   # doctest: +SKIP
-    >>> result = compiler.run(compiled, grid, iterations=4)  # doctest: +SKIP
-
-    Passing ``cache=True`` (or an explicit :class:`repro.service.CompileCache`)
-    makes ``compile``/``solve`` memoise compiled plans, so repeated workloads
-    against the same device configuration pay the layout search only once.
-    """
-
-    def __init__(self, spec: GPUSpec = A100_SPEC,
-                 dtype: DataType = DataType.FP16,
-                 cache=None) -> None:
-        self.spec = spec
-        self.dtype = DataType(dtype)
-        self.cache = None
-        self.cache = self._coerce_cache(cache)
-
-    def _coerce_cache(self, cache):
-        """``True`` → the compiler-owned cache (created on demand, so
-        memoisation persists across calls), ``False`` → no cache."""
-        if cache is True:
-            if self.cache is None:
-                from repro.service.cache import CompileCache
-                self.cache = CompileCache()
-            return self.cache
-        return cache if cache is not False else None
-
-    def compile(self, pattern: StencilPattern, grid_shape: Tuple[int, ...],
-                **kwargs) -> CompiledStencil:
-        kwargs.setdefault("spec", self.spec)
-        kwargs.setdefault("dtype", self.dtype)
-        cache = self._coerce_cache(kwargs.pop("cache", self.cache))
-        if cache is not None:
-            return cache.compile(pattern, grid_shape, **kwargs)
-        return compile_stencil(pattern, grid_shape, **kwargs)
-
-    def run(self, compiled: CompiledStencil, grid: Grid,
-            iterations: int) -> StencilRunResult:
-        return execute_compiled(compiled, grid, iterations, cache=self.cache)
-
-    def solve(self, pattern: StencilPattern, grid: Grid, iterations: int,
-              **kwargs) -> Tuple[CompiledStencil, StencilRunResult]:
-        kwargs.setdefault("spec", self.spec)
-        kwargs.setdefault("dtype", self.dtype)
-        cache = self._coerce_cache(kwargs.pop("cache", self.cache))
-        compiled = compile_cached(pattern, tuple(grid.shape), cache=cache,
-                                  **kwargs)
-        return compiled, execute_compiled(compiled, grid, iterations,
-                                          cache=cache)

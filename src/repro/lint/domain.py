@@ -21,7 +21,7 @@ SP106     error     duplicate stage name
 SP110     warning   requested halo depth exceeds the geometry's maximum
 SP111     warning   periodic interior not tile-divisible (depth forced to 1)
 SP112     error     grid cannot be tiled into the requested shard count
-SP120     error     unknown or unavailable execution backend
+SP120     error     unknown execution backend
 SP121     error     baseline comparator cannot honour the boundary
 SP122     error     conflicting problem/policy options
 SP130     warning   explicit sharding below the modelled crossover
@@ -86,10 +86,9 @@ register_rule("SP111", "periodic interior not tile-divisible",
 register_rule("SP112", "grid cannot be tiled into the requested shards",
               Severity.ERROR, tier=1,
               hint="use fewer shards or a larger grid")
-register_rule("SP120", "unknown or unavailable backend", Severity.ERROR,
-              tier=1,
-              hint="pick a registered, available backend "
-                   "(repro.core.codegen.available_backends())")
+register_rule("SP120", "unknown backend", Severity.ERROR, tier=1,
+              hint="pick a registered backend "
+                   "(repro.core.codegen.registered_backends())")
 register_rule("SP121", "baseline cannot honour the boundary",
               Severity.ERROR, tier=1,
               hint="baseline comparators implement dirichlet only")
@@ -332,7 +331,7 @@ def _device_count(policy: Any, scheduler: Any) -> int:
 
 
 def _check_backend(name: Optional[str], where: str) -> List[Diagnostic]:
-    from repro.core.codegen import available_backends, registered_backends
+    from repro.core.codegen import registered_backends
 
     if name is None:
         return []
@@ -344,14 +343,6 @@ def _check_backend(name: Optional[str], where: str) -> List[Diagnostic]:
             f"{', '.join(registered)})",
             location=where,
             details={"backend": name, "registered": list(registered)})]
-    available = available_backends()
-    if name not in available:
-        return [emit(
-            "SP120",
-            f"backend {name!r} is registered but unavailable in this "
-            f"environment (available: {', '.join(available)})",
-            location=where,
-            details={"backend": name, "available": list(available)})]
     return []
 
 

@@ -39,7 +39,7 @@ from repro.server.queue import (
 )
 from repro.server.coalesce import Coalescer, MicroBatch, coalesce
 from repro.server.scheduler import DevicePoolScheduler, RoutingDecision
-from repro.server.telemetry import RollingLatency, ServerTelemetry
+from repro.server.telemetry import ServerTelemetry
 from repro.server.facade import (
     ServerConfig,
     ServerResult,
@@ -60,7 +60,6 @@ __all__ = [
     "coalesce",
     "DevicePoolScheduler",
     "RoutingDecision",
-    "RollingLatency",
     "ServerTelemetry",
     "ServerConfig",
     "ServerResult",

@@ -526,7 +526,7 @@ class StencilServer:
                                          overlap=decision.overlap)
                     with tracer.activate(item.span):
                         solution = self.session.registry.create(mode).solve(
-                            self.session, request, policy, cache=self.cache,
+                            self.session, request, policy,
                             compiled=rebrand(compiled, item.compile_request),
                             compile_request=item.compile_request)
                     # device work, not wall time: a sharded run's

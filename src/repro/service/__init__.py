@@ -9,14 +9,12 @@ independent requests, which is what a deployment serving many users needs:
 * :mod:`repro.service.cache` — a thread-safe LRU :class:`CompileCache` with
   hit/miss statistics and optional on-disk plan persistence;
 * :mod:`repro.service.batch` — the compile half of
-  :meth:`repro.StencilSession.solve_batch` (and of the deprecated
-  ``solve_many`` / ``run_stencil_batch`` / ``solve_sharded`` shims): it
-  groups heterogeneous requests by fingerprint, compiles each distinct plan
-  once (in parallel), and reports aggregate throughput once the session's
-  registry executors have swept them.
+  :meth:`repro.StencilSession.solve_batch`: it groups heterogeneous
+  requests by fingerprint, compiles each distinct plan once (in parallel),
+  and reports aggregate throughput once the session's registry executors
+  have swept them.
 
-The canonical request type is :class:`repro.session.Problem`;
-``SolveRequest`` survives as a deprecated alias of it.
+The request type is :class:`repro.session.Problem`.
 """
 
 from repro.service.fingerprint import (
@@ -29,10 +27,6 @@ from repro.service.batch import (
     BatchItem,
     BatchReport,
     Problem,
-    SolveRequest,
-    run_stencil_batch,
-    solve_many,
-    solve_sharded,
 )
 
 __all__ = [
@@ -46,8 +40,4 @@ __all__ = [
     "BatchItem",
     "BatchReport",
     "Problem",
-    "SolveRequest",
-    "run_stencil_batch",
-    "solve_many",
-    "solve_sharded",
 ]

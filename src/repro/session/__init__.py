@@ -14,9 +14,8 @@ comparators::
   :class:`SolvePolicy`, :class:`Solution`, :class:`Provenance`;
 * :mod:`repro.session.registry` — the :class:`ExecutorRegistry` mapping
   policy modes to engines;
-* :mod:`repro.session.session` — :class:`StencilSession`,
-  :class:`SessionConfig` and the :func:`default_session` the legacy shims
-  delegate to.
+* :mod:`repro.session.session` — :class:`StencilSession` and the
+  :class:`SessionConfig` it is built from.
 
 Only the vocabulary is imported eagerly (the lower service layer shares it);
 the facade loads on first attribute access, which keeps
@@ -42,8 +41,6 @@ __all__ = [
     "default_registry",
     "SessionConfig",
     "StencilSession",
-    "default_session",
-    "reset_default_session",
 ]
 
 _LAZY = {
@@ -57,8 +54,6 @@ _LAZY = {
     "ProgramSessionExecutor": "repro.session.registry",
     "SessionConfig": "repro.session.session",
     "StencilSession": "repro.session.session",
-    "default_session": "repro.session.session",
-    "reset_default_session": "repro.session.session",
 }
 
 

@@ -1,13 +1,13 @@
 """The session layer's typed vocabulary: ``Problem`` → ``Solution``.
 
-Every execution mode the reproduction has grown — single-device, sharded
-multi-device, the online server, and the baseline comparators — historically
-took its own argument convention.  The session API gives them one:
+Every execution mode the reproduction has — single-device, sharded
+multi-device, the online server, and the baseline comparators — takes the
+same argument convention:
 
 * :class:`Problem` — *what* to solve: a stencil pattern, a grid, an
   iteration count, the compile options and an optional attribution tag.
-  This is the canonical request type; :class:`repro.service.SolveRequest`
-  is a deprecated alias of it.
+  It is the one request type of the session, the batch service and the
+  server.
 * :class:`SolvePolicy` — *how* to solve it: the routing mode
   (``auto | single | sharded | served | baseline:<name>``), a deadline,
   the device/shard spec and batching hints.
@@ -320,7 +320,7 @@ class Solution:
         return self.result.utilization
 
     def summary(self) -> Dict[str, Any]:
-        """Flat dict for telemetry sinks and benchmark envelopes."""
+        """Flat dict for logs and benchmark envelopes."""
         summary: Dict[str, Any] = {
             "tag": self.tag,
             "fingerprint": self.fingerprint,

@@ -54,7 +54,7 @@ class SessionExecutor(abc.ABC):
 
     @abc.abstractmethod
     def solve(self, session: "Any", problem: Problem, policy: SolvePolicy, *,
-              cache: "Any", compiled: "Any" = None,
+              compiled: "Any" = None,
               compile_request: "Any" = None,
               mode_requested: Optional[str] = None,
               reason: str = "") -> Solution:
@@ -66,13 +66,12 @@ class SessionExecutor(abc.ABC):
     @staticmethod
     def _resolve_plan(problem: Problem, cache: "Any",
                       compiled: "Any", compile_request: "Any"):
-        """``(compiled, compile_request)`` — compiling through ``cache`` when
-        one is given, exactly like :func:`repro.core.pipeline.compile_cached`."""
+        """``(compiled, compile_request)`` — compiling through ``cache``
+        when the session has not resolved them already."""
         if compile_request is None:
             compile_request = problem.compile_request()
         if compiled is None:
-            compiled = cache.get_or_compile(compile_request) \
-                if cache is not None else compile_request.compile()
+            compiled = cache.get_or_compile(compile_request)
         return compiled, compile_request
 
     @staticmethod
@@ -83,18 +82,17 @@ class SessionExecutor(abc.ABC):
 
 
 class SingleDeviceSessionExecutor(SessionExecutor):
-    """Compile (through the cache) and sweep on one simulated device —
-    the code path the legacy ``sparstencil_solve`` shim delegates to."""
+    """Compile (through the cache) and sweep on one simulated device."""
 
     name = "single"
 
-    def solve(self, session, problem, policy, *, cache, compiled=None,
+    def solve(self, session, problem, policy, *, compiled=None,
               compile_request=None, mode_requested=None, reason=""):
         from repro.engine.single import SingleDeviceExecutor
 
         compiled, compile_request = self._resolve_plan(
-            problem, cache, compiled, compile_request)
-        result = SingleDeviceExecutor(cache=cache).execute(
+            problem, session.cache, compiled, compile_request)
+        result = SingleDeviceExecutor(cache=session.cache).execute(
             compiled, problem.grid, problem.iterations)
         result = self._tagged(result, problem.tag)
         return Solution(
@@ -114,24 +112,24 @@ class SingleDeviceSessionExecutor(SessionExecutor):
 
 class ShardedSessionExecutor(SessionExecutor):
     """Domain-decomposed execution across the session pool (or the policy's
-    device override) — the code path the legacy ``solve_sharded`` shim
-    delegates to.  Bit-identical to single-device execution."""
+    device override).  Bit-identical to single-device execution."""
 
     name = "sharded"
 
-    def solve(self, session, problem, policy, *, cache, compiled=None,
+    def solve(self, session, problem, policy, *, compiled=None,
               compile_request=None, mode_requested=None, reason=""):
         from repro.engine.sharded import ShardedExecutor
 
         compiled, compile_request = self._resolve_plan(
-            problem, cache, compiled, compile_request)
+            problem, session.cache, compiled, compile_request)
         devices = policy.devices if policy.devices is not None \
             else session.pool
         max_workers = policy.max_workers if policy.max_workers is not None \
             else session.config.max_workers
         halo_depth = policy.halo_depth if policy.halo_depth is not None else 1
         executor = ShardedExecutor(devices, shard_grid=policy.shard_grid,
-                                   cache=cache, max_workers=max_workers,
+                                   cache=session.cache,
+                                   max_workers=max_workers,
                                    halo_depth=halo_depth,
                                    overlap=policy.overlap)
         result = executor.execute(compiled, problem.grid, problem.iterations)
@@ -158,18 +156,13 @@ class ServedSessionExecutor(SessionExecutor):
     The server sweeps the request with this registry's ``single`` or
     ``sharded`` executor, so the provenance is built from that delegate's
     :class:`~repro.session.problem.Solution`.  The server compiles through
-    the *session* cache, so per-call cache overrides cannot apply here and
-    are rejected rather than silently ignored.
+    the session cache.
     """
 
     name = "served"
 
-    def solve(self, session, problem, policy, *, cache, compiled=None,
+    def solve(self, session, problem, policy, *, compiled=None,
               compile_request=None, mode_requested=None, reason=""):
-        if cache is not session.cache:
-            raise ValidationError(
-                "served mode always executes through the session cache; "
-                "per-call cache overrides are not supported")
         server = session.server(window_seconds=policy.window_seconds,
                                 max_batch_size=policy.max_batch_size)
         handle = server.submit_problem(
@@ -210,7 +203,7 @@ class BaselineSessionExecutor(SessionExecutor):
         self.baseline = baseline
         self.name = f"{BASELINE_MODE_PREFIX}{baseline.name}"
 
-    def solve(self, session, problem, policy, *, cache, compiled=None,
+    def solve(self, session, problem, policy, *, compiled=None,
               compile_request=None, mode_requested=None, reason=""):
         from repro.tcu.spec import A100_SPEC, DataType
 
@@ -278,7 +271,7 @@ class ProgramSessionExecutor(SessionExecutor):
 
     name = "program"
 
-    def solve(self, session, problem, policy, *, cache, compiled=None,
+    def solve(self, session, problem, policy, *, compiled=None,
               compile_request=None, mode_requested=None, reason=""):
         from repro.programs import (
             ProgramRunner,
@@ -293,7 +286,8 @@ class ProgramSessionExecutor(SessionExecutor):
                 f"mode {policy.mode!r} is not supported for programs")
         plan = compiled
         if plan is None:
-            plan = compile_program(problem.program, problem.grid, cache,
+            plan = compile_program(problem.program, problem.grid,
+                                   session.cache,
                                    options=dict(problem.options))
         mode = kind
         decision = None
@@ -317,7 +311,7 @@ class ProgramSessionExecutor(SessionExecutor):
                 if policy.max_workers is not None \
                 else session.config.max_workers
             runner = ShardedProgramRunner(
-                devices, shard_grid=policy.shard_grid, cache=cache,
+                devices, shard_grid=policy.shard_grid, cache=session.cache,
                 max_workers=max_workers, overlap=policy.overlap)
             result = runner.execute(plan, problem.grid, problem.iterations)
             devices_used = result.device_count

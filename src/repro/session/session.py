@@ -20,17 +20,15 @@ Every session-level solve reaches an engine through the session's
 executor its mode names, ``solve_batch`` sweeps each item with the
 ``single`` executor, and the online server sweeps each request of a
 micro-batch with the ``single`` or ``sharded`` executor its scheduler
-picked.  The four legacy entry points (``run_stencil``,
-``sparstencil_solve``, ``solve_many``, ``solve_sharded``) are
-deprecation-warning shims over :func:`default_session`, so old and new code
-share a single execution path.
+picked.  A session compiles through the cache it was built with; a caller
+who wants another cache, or none shared, builds another session.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,14 +49,7 @@ from repro.util.validation import require
 __all__ = [
     "SessionConfig",
     "StencilSession",
-    "default_session",
-    "reset_default_session",
 ]
-
-#: Sentinel distinguishing "use the session cache" from an explicit ``None``
-#: (= no caching), which the legacy shims rely on to preserve exact
-#: cache-statistics semantics.
-_UNSET: Any = object()
 
 
 @dataclass
@@ -84,10 +75,6 @@ class SessionConfig:
     queue_bound / window_seconds / max_batch_size / default_deadline_seconds:
         Served-mode tunables, applied when the session materialises its
         online server.
-    telemetry:
-        Optional sink called with one flat dict per completed solve /
-        batch — the session-level analogue of
-        :class:`~repro.server.telemetry.ServerTelemetry`.
     tracer:
         Optional :class:`repro.obs.Tracer`.  When enabled, every solve
         opens a root span, the executors/cache/engines attach their spans
@@ -109,7 +96,6 @@ class SessionConfig:
     window_seconds: float = 0.002
     max_batch_size: int = 16
     default_deadline_seconds: Optional[float] = None
-    telemetry: Optional[Callable[[Dict[str, Any]], None]] = None
     tracer: Optional[Tracer] = None
 
 
@@ -159,17 +145,12 @@ class StencilSession:
     # ------------------------------------------------------------------ #
     # the front door
     # ------------------------------------------------------------------ #
-    def solve(self, problem: Problem, policy: Optional[SolvePolicy] = None, *,
-              cache: Any = _UNSET, **policy_overrides: Any) -> Solution:
+    def solve(self, problem: Problem, policy: Optional[SolvePolicy] = None,
+              **policy_overrides: Any) -> Solution:
         """Solve one problem under a policy; returns a :class:`Solution`.
 
         ``policy`` may be omitted and built from keyword overrides
-        (``session.solve(problem, mode="sharded", devices=2)``).  ``cache``
-        overrides the session cache for this call only — ``None`` disables
-        caching entirely, which is what the legacy shims use to keep their
-        original cache-statistics semantics.  ``mode="served"`` always
-        executes through the session cache (the server compiled into it)
-        and rejects per-call cache overrides.
+        (``session.solve(problem, mode="sharded", devices=2)``).
         """
         require(isinstance(problem, Problem),
                 f"solve() takes a Problem, got {type(problem).__name__}")
@@ -178,7 +159,6 @@ class StencilSession:
         elif policy_overrides:
             policy = replace(policy, **policy_overrides)
         problem = self._apply_backend_policy(problem, policy)
-        call_cache = self.cache if cache is _UNSET else cache
 
         # Root span of the request: everything below — routing, compiles,
         # queueing, engine sweeps — attaches under it through the ambient
@@ -202,8 +182,7 @@ class StencilSession:
                 mode = "program"
             elif mode == "auto":
                 compile_request = problem.compile_request()
-                compiled = call_cache.get_or_compile(compile_request) \
-                    if call_cache is not None else compile_request.compile()
+                compiled = self.cache.get_or_compile(compile_request)
                 decision = self.decide(problem, compiled=compiled)
                 mode = decision.executor
                 reason = decision.reason
@@ -220,7 +199,7 @@ class StencilSession:
 
             executor = self.registry.create(mode)
             solution = executor.solve(
-                self, problem, policy, cache=call_cache, compiled=compiled,
+                self, problem, policy, compiled=compiled,
                 compile_request=compile_request,
                 mode_requested=mode_requested, reason=reason)
             root_span.set(executor=solution.provenance.executor,
@@ -232,31 +211,25 @@ class StencilSession:
                     solution,
                     provenance=replace(solution.provenance,
                                        trace_id=root_span.trace_id))
-        self._emit({"event": "solve", **solution.summary()})
         return solution
 
     def solve_batch(self, problems: Sequence[Problem], *,
-                    cache: Any = _UNSET,
-                    max_workers: Optional[int] = None,
-                    compile_requests: Optional[Sequence[Any]] = None) -> Any:
+                    max_workers: Optional[int] = None) -> Any:
         """Solve a heterogeneous batch: compile each distinct plan once,
         sweep every problem (see :class:`repro.service.BatchReport`).
 
-        ``cache=None`` reproduces the legacy ``solve_many`` behaviour of a
-        private per-batch cache; by default the session cache is shared.
-        Every item sweeps on one device through the registry's ``single``
-        executor, in submission order, so the outputs are identical to
-        sequential ``solve(mode="single")`` calls.
+        Plans come from the session cache.  Every item sweeps on one device
+        through the registry's ``single`` executor, in submission order, so
+        the outputs are identical to sequential ``solve(mode="single")``
+        calls.
         """
         from repro.service.batch import compile_batch
 
         with self.tracer.span("solve_batch", requests=len(problems)):
             batch = compile_batch(
-                problems,
-                cache=self.cache if cache is _UNSET else cache,
+                problems, cache=self.cache,
                 max_workers=max_workers if max_workers is not None
-                else self.config.max_workers,
-                compile_requests=compile_requests)
+                else self.config.max_workers)
             executor = self.registry.create("single")
             policy = SolvePolicy(mode="single")
             solutions = []
@@ -267,36 +240,34 @@ class StencilSession:
                                   iterations=problem.iterations,
                                   tag=problem.tag) as execute_span:
                         solution = executor.solve(
-                            self, problem, policy, cache=batch.cache,
+                            self, problem, policy,
                             compiled=batch.plan(index),
                             compile_request=request)
                         execute_span.add_device_seconds(
                             solution.elapsed_seconds)
                     solutions.append(solution)
-            report = batch.report(solutions, sweep.elapsed)
-        self._emit({"event": "solve_batch", **report.summary()})
-        return report
+            return batch.report(solutions, sweep.elapsed)
 
     def run(self, compiled: Any, grid: Any, iterations: int, *,
-            cache: Any = _UNSET, tag: Optional[str] = None) -> Solution:
+            tag: Optional[str] = None) -> Solution:
         """Execute an already-compiled plan on one device.
 
-        The precompiled analogue of ``solve(mode="single")`` — what the
-        legacy ``run_stencil`` shim delegates to.  The original compile
-        request is unknown here, so :attr:`Solution.fingerprint` is empty.
+        The precompiled analogue of ``solve(mode="single")``; leftover
+        plans (non-divisible iteration counts) come from the session cache.
+        The original compile request is unknown here, so
+        :attr:`Solution.fingerprint` is empty.
         """
         from repro.engine.single import SingleDeviceExecutor
 
         with self.tracer.span("run", iterations=iterations,
                               tag=tag) as root_span:
-            result = SingleDeviceExecutor(
-                cache=self.cache if cache is _UNSET else cache).execute(
-                    compiled, grid, iterations)
+            result = SingleDeviceExecutor(cache=self.cache).execute(
+                compiled, grid, iterations)
             root_span.add_device_seconds(result.elapsed_seconds)
             trace_id = root_span.trace_id
         if tag is not None:
             result = replace(result, tag=tag)
-        solution = Solution(
+        return Solution(
             result=result,
             compiled=compiled,
             fingerprint="",
@@ -310,17 +281,13 @@ class StencilSession:
                 backend=compiled.backend,
                 trace_id=trace_id),
             tag=tag)
-        self._emit({"event": "run", **solution.summary()})
-        return solution
 
     def solve_baseline(self, problem: Problem, baseline: Any) -> Solution:
         """Run a comparator instance (or registry key) on ``problem`` —
         the hook :func:`repro.analysis.compare_methods` routes through."""
         executor = BaselineSessionExecutor(baseline)
-        solution = executor.solve(
-            self, problem, SolvePolicy(mode=executor.name), cache=self.cache)
-        self._emit({"event": "solve", **solution.summary()})
-        return solution
+        return executor.solve(self, problem,
+                              SolvePolicy(mode=executor.name))
 
     @staticmethod
     def _apply_backend_policy(problem: Problem, policy: SolvePolicy) -> Problem:
@@ -458,37 +425,3 @@ class StencilSession:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def _emit(self, event: Dict[str, Any]) -> None:
-        sink = self.config.telemetry
-        if sink is not None:
-            sink(event)
-
-
-# ---------------------------------------------------------------------- #
-# the default session (what the legacy shims delegate to)
-# ---------------------------------------------------------------------- #
-_DEFAULT_SESSION: Optional[StencilSession] = None
-_DEFAULT_SESSION_LOCK = threading.Lock()
-
-
-def default_session() -> StencilSession:
-    """The process-wide session backing the legacy shims.
-
-    Single-device pool (legacy callers spell sharding explicitly) and a
-    standard cache; created on first use.
-    """
-    global _DEFAULT_SESSION
-    with _DEFAULT_SESSION_LOCK:
-        if _DEFAULT_SESSION is None:
-            _DEFAULT_SESSION = StencilSession()
-        return _DEFAULT_SESSION
-
-
-def reset_default_session() -> None:
-    """Drop (and close) the default session — test isolation hook."""
-    global _DEFAULT_SESSION
-    with _DEFAULT_SESSION_LOCK:
-        session, _DEFAULT_SESSION = _DEFAULT_SESSION, None
-    if session is not None:
-        session.close()

@@ -19,11 +19,9 @@ import pytest
 from repro.core.codegen import (
     BACKEND_ENV_VAR,
     DEFAULT_BACKEND,
-    NumbaBackend,
     NumpyBackend,
     StencilBackend,
     TcuSimBackend,
-    available_backends,
     get_backend,
     register_backend,
     registered_backends,
@@ -51,13 +49,7 @@ class TestRegistry:
         names = registered_backends()
         assert "tcu-sim" in names
         assert "numpy" in names
-        assert "numba" in names
-
-    def test_available_subset_of_registered(self):
-        available = set(available_backends())
-        assert available <= set(registered_backends())
-        # the two dependency-free backends are always available
-        assert {"tcu-sim", "numpy"} <= available
+        assert "numba" not in names
 
     def test_get_backend_round_trips(self):
         assert isinstance(get_backend("tcu-sim"), TcuSimBackend)
@@ -66,13 +58,6 @@ class TestRegistry:
     def test_unknown_backend_raises_listing_registered(self):
         with pytest.raises(ValidationError, match="registered"):
             get_backend("cuda-ptx")
-
-    def test_unavailable_backend_raises(self):
-        backend = NumbaBackend()
-        if backend.is_available():  # pragma: no cover - env-dependent
-            pytest.skip("numba installed: backend is available here")
-        with pytest.raises(ValidationError, match="unavailable"):
-            get_backend("numba")
 
     def test_duplicate_registration_rejected_unless_replace(self):
         with pytest.raises(ValidationError, match="already registered"):
@@ -284,17 +269,6 @@ class TestNumpyBackendNumerics:
                             temporal_fusion=2), grid, 5)
         assert np.max(np.abs(sim.output.astype(np.float64)
                              - result.output)) < DEVICE_TOL
-
-
-class TestNumbaBackend:
-    def test_matches_reference(self, heat2d):
-        pytest.importorskip("numba")
-        grid = make_grid((40, 44), kind="random", seed=7)
-        compiled = compile_stencil(heat2d, (40, 44), backend="numba")
-        result = execute_compiled(compiled, grid, 4)
-        reference = run_stencil_iterations(heat2d, grid, 4)
-        np.testing.assert_allclose(result.output, reference,
-                                   rtol=0.0, atol=1e-12)
 
 
 # --------------------------------------------------------------------------- #

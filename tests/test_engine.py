@@ -61,12 +61,11 @@ class TestStepAPI:
 
 
 class TestSingleDeviceExecutor:
-    def test_matches_run_stencil_wrapper(self, heat2d):
+    def test_matches_session_run(self, heat2d):
         compiled = compile_stencil(heat2d, (48, 48))
         grid = make_grid((48, 48), seed=4)
         via_engine = SingleDeviceExecutor().execute(compiled, grid, 3)
-        via_wrapper = StencilSession().run(compiled, grid, 3,
-                                           cache=None).result
+        via_wrapper = StencilSession().run(compiled, grid, 3).result
         assert np.array_equal(via_engine.output, via_wrapper.output)
         assert via_engine.elapsed_seconds == via_wrapper.elapsed_seconds
 

@@ -26,7 +26,8 @@ import pytest
 
 from golden.generate_golden import CASES, fixture_path
 
-from repro import Problem, compile_stencil, default_session, get_benchmark, make_grid
+from repro import (Problem, StencilSession, compile_stencil, get_benchmark,
+                   make_grid)
 from repro.service import CompileCache
 
 CASE_IDS = [f"{c[0]}-{c[4]}" for c in CASES]
@@ -44,8 +45,8 @@ def load_fixture(name: str, boundary: str):
     return np.load(path)
 
 def run_plan(compiled, grid, iterations: int):
-    """Run a compiled plan on one device through the default session."""
-    return default_session().run(compiled, grid, iterations, cache=None).result
+    """Run a compiled plan on one device through a fresh session."""
+    return StencilSession().run(compiled, grid, iterations).result
 
 
 def workload(name: str, grid_shape, seed: int, boundary: str):
@@ -65,7 +66,7 @@ class TestGoldenRegression:
         assert int(fixture["seed"]) == seed
         assert str(fixture["boundary"]) == boundary
 
-    def test_run_stencil_matches_golden(self, name, grid_shape, iterations,
+    def test_session_run_matches_golden(self, name, grid_shape, iterations,
                                         seed, boundary, ref_tol):
         fixture = load_fixture(name, boundary)
         pattern, grid = workload(name, grid_shape, seed, boundary)
@@ -106,8 +107,8 @@ def test_batched_service_matches_goldens():
                                 options={"backend": "tcu-sim"},
                                 tag=f"{name}-{boundary}"))
         fixtures.append(load_fixture(name, boundary))
-    # cache=None gives the batch a private cache: every plan compiles fresh
-    report = default_session().solve_batch(requests, cache=None)
+    # a fresh session's cache is empty: every plan compiles fresh
+    report = StencilSession().solve_batch(requests)
     for item, fixture in zip(report.items, fixtures):
         np.testing.assert_allclose(item.result.output, fixture["pipeline"],
                                    rtol=0.0, atol=DRIFT_TOL)

@@ -5,7 +5,7 @@ the SparStencil pipeline (scaled simulation grids) and matches the reference.
 import numpy as np
 import pytest
 
-from repro.core.pipeline import compile_stencil, run_stencil
+from repro.core.pipeline import compile_stencil, execute_compiled
 from repro.stencils.catalog import table2_benchmarks
 from repro.stencils.grid import make_grid
 from repro.stencils.reference import run_stencil_iterations
@@ -29,7 +29,7 @@ class TestTable2EndToEnd:
         grid = make_grid(shape, kind="random", seed=17)
         compiled = compile_stencil(config.pattern, shape,
                                    block_hint=config.block)
-        result = run_stencil(compiled, grid, iterations=2)
+        result = execute_compiled(compiled, grid, iterations=2)
         reference = run_stencil_iterations(config.pattern, grid, 2)
         # fp16 arithmetic: tolerance scales with the output magnitude (the
         # high-order Laplacian kernels have weights up to ~5 and outputs >> 1)
@@ -49,7 +49,7 @@ class TestTable2EndToEnd:
         shape = TEST_GRIDS[config.pattern.ndim]
         grid = make_grid(shape, kind="random", seed=17)
         compiled = compile_stencil(config.pattern, shape, dtype=DataType.FP64)
-        result = run_stencil(compiled, grid, iterations=1)
+        result = execute_compiled(compiled, grid, iterations=1)
         reference = run_stencil_iterations(config.pattern, grid, 1)
         assert np.max(np.abs(result.output - reference)) < 1e-9
         assert compiled.engine == "dense_mma"

@@ -11,7 +11,9 @@ Regenerate after an intentional API change with::
     REPRO_UPDATE_API_SNAPSHOT=1 PYTHONPATH=src python -m pytest tests/test_public_api.py
 """
 
+import dataclasses
 import enum
+import importlib
 import inspect
 import json
 import os
@@ -28,6 +30,23 @@ SNAPSHOT_PATH = Path(__file__).parent / "data" / "api_surface.json"
 #: specs, sentinel objects) is recorded as "<object>" so the snapshot never
 #: churns on cosmetic repr changes.
 _LITERAL_DEFAULTS = (str, int, float, bool, type(None))
+
+#: Entry points removed in 2.0 (the README's "Removed in 2.0" table maps
+#: each to its replacement).
+REMOVED_NAMES = (
+    "run_stencil",
+    "sparstencil_solve",
+    "SparStencilCompiler",
+    "available_backends",
+    "NumbaBackend",
+    "SolveRequest",
+    "solve_many",
+    "run_stencil_batch",
+    "solve_sharded",
+    "default_session",
+    "reset_default_session",
+)
+REMOVED_FROM = ("repro", "repro.core", "repro.service", "repro.session")
 
 
 def _signature_of(obj):
@@ -82,7 +101,7 @@ def current_api_surface():
 
 class TestExports:
     def test_version(self):
-        assert repro.__version__ == "1.2.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -92,14 +111,34 @@ class TestExports:
         for name in ("StencilPattern", "make_grid", "compile_stencil",
                      "search_layout", "convert_to_24", "get_baseline",
                      "compare_methods", "Problem", "SolvePolicy", "Solution",
-                     "StencilSession", "SessionConfig", "default_session"):
+                     "StencilSession", "SessionConfig"):
             assert name in repro.__all__
 
-    def test_legacy_shims_still_exported(self):
-        # the deprecated entry points stay importable until removal
-        for name in ("run_stencil", "sparstencil_solve", "solve_many",
-                     "solve_sharded", "SolveRequest"):
-            assert name in repro.__all__
+    @pytest.mark.parametrize("module_name", REMOVED_FROM)
+    @pytest.mark.parametrize("name", REMOVED_NAMES)
+    def test_removed_name_is_gone(self, module_name, name):
+        module = importlib.import_module(module_name)
+        assert name not in getattr(module, "__all__", ())
+        with pytest.raises(AttributeError):
+            getattr(module, name)
+        with pytest.raises(ImportError):
+            exec(f"from {module_name} import {name}", {})
+
+    def test_removed_modules_and_reexports_are_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.util.deprecation")
+        import repro.core.codegen
+        import repro.server
+
+        assert not hasattr(repro.core.codegen, "NumbaBackend")
+        assert not hasattr(repro.core.codegen.StencilBackend, "is_available")
+        assert "RollingLatency" not in repro.server.__all__
+        with pytest.raises(ImportError):
+            exec("from repro.server import RollingLatency", {})
+        fields = {field.name for field in
+                  dataclasses.fields(repro.SessionConfig)}
+        assert "telemetry" not in fields
+        assert len(fields) == 14
 
 
 class TestApiSurfaceSnapshot:
@@ -147,17 +186,6 @@ class TestQuickstartFlow:
         assert solution.provenance.executor == "single"
         reference = repro.run_stencil_iterations(heat, grid, 4)
         assert np.max(np.abs(solution.output - reference)) < 5e-3
-
-    def test_legacy_quickstart_still_works(self):
-        """The pre-session flow: deprecated but bit-identical."""
-        heat = repro.StencilPattern.star(2, 1, weights=[0.6, 0.1, 0.1, 0.1, 0.1])
-        grid = repro.make_grid((64, 64), kind="gaussian")
-        compiled = repro.compile_stencil(heat, grid.shape)
-        with pytest.warns(DeprecationWarning):
-            result = repro.run_stencil(compiled, grid, iterations=4)
-        with repro.StencilSession() as session:
-            solution = session.run(compiled, grid, 4)
-        assert np.array_equal(result.output, solution.output)
 
     def test_inspect_generated_kernel(self):
         heat = repro.StencilPattern.star(2, 1)

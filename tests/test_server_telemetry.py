@@ -19,7 +19,8 @@ import threading
 
 import pytest
 
-from repro.server.telemetry import RollingLatency, ServerTelemetry
+from repro.obs.metrics import RollingLatency
+from repro.server.telemetry import ServerTelemetry
 from repro.util.validation import ValidationError
 
 

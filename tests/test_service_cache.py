@@ -12,8 +12,9 @@ import repro.core.conversion
 import repro.core.layout_search
 import repro.core.morphing
 import repro.core.pipeline
-from repro.core.pipeline import compile_stencil, run_stencil, sparstencil_solve
+from repro.core.pipeline import compile_stencil, execute_compiled
 from repro.service import CompileCache, CompileRequest, compile_fingerprint, pattern_fingerprint
+from repro.session import Problem, StencilSession
 from repro.stencils.grid import make_grid
 from repro.stencils.pattern import StencilPattern
 from repro.tcu.spec import A100_SPEC, DataType
@@ -138,8 +139,11 @@ class TestCompileCache:
         cache = CompileCache()
         # warm the cache, then solve through it
         cache.compile(heat2d, small_grid_2d.shape)
-        _, cached = sparstencil_solve(heat2d, small_grid_2d, 3, cache=cache)
-        _, uncached = sparstencil_solve(heat2d, small_grid_2d, 3)
+        cached = StencilSession(cache=cache).solve(
+            Problem(heat2d, small_grid_2d, 3), mode="single").result
+        assert cache.stats.hits == 1
+        uncached = execute_compiled(
+            compile_stencil(heat2d, small_grid_2d.shape), small_grid_2d, 3)
         assert np.array_equal(cached.output, uncached.output)
         assert cached.elapsed_seconds == uncached.elapsed_seconds
         assert cached.sweeps == uncached.sweeps
@@ -148,8 +152,10 @@ class TestCompileCache:
                                                  monkeypatch):
         """Acceptance: a warm-cache solve runs neither morphing, conversion
         nor layout search, and spends zero stage-timer compile seconds."""
-        cache = CompileCache()
-        sparstencil_solve(heat2d, small_grid_2d, 2, cache=cache)
+        session = StencilSession(cache=CompileCache())
+        cache = session.cache
+        problem = Problem(heat2d, small_grid_2d, 2)
+        session.solve(problem, mode="single")
         compile_seconds_cold = cache.stats.compile_seconds
         assert compile_seconds_cold > 0.0
 
@@ -171,7 +177,7 @@ class TestCompileCache:
             repro.core.conversion, "convert_to_24",
             counting(repro.core.conversion.convert_to_24, "convert"))
 
-        _, warm = sparstencil_solve(heat2d, small_grid_2d, 2, cache=cache)
+        warm = session.solve(problem, mode="single")
         assert calls == {"search": 0, "morph": 0, "convert": 0}
         # stage-timer assertion: no additional compile wall time was spent
         assert cache.stats.compile_seconds == compile_seconds_cold
@@ -195,42 +201,16 @@ class TestCompileCache:
         original = cache.compile(heat2d, small_grid_2d.shape)
         assert hit.plan.a_operand is original.plan.a_operand
         assert np.array_equal(
-            run_stencil(hit, small_grid_2d, 2).output,
-            run_stencil(original, small_grid_2d, 2).output)
+            execute_compiled(hit, small_grid_2d, 2).output,
+            execute_compiled(original, small_grid_2d, 2).output)
 
-    def test_compiler_facade_keeps_explicit_empty_cache(self, heat2d):
-        from repro.core.pipeline import SparStencilCompiler
+    def test_session_keeps_explicit_empty_cache(self, heat2d):
         cache = CompileCache()
-        compiler = SparStencilCompiler(cache=cache)  # empty cache is falsy!
-        assert compiler.cache is cache
-        compiler.compile(heat2d, (40, 44))
-        compiler.compile(heat2d, (40, 44))
+        session = StencilSession(cache=cache)  # an empty cache is falsy!
+        assert session.cache is cache
+        session.compile(Problem(heat2d, make_grid((40, 44)), 1))
+        session.compile(Problem(heat2d, make_grid((40, 44)), 1))
         assert cache.stats.hits == 1
-        auto = SparStencilCompiler(cache=True)
-        assert isinstance(auto.cache, CompileCache)
-        off = SparStencilCompiler(cache=False)
-        assert off.cache is None
-
-    def test_solve_accepts_cache_true_per_call(self, heat2d, small_grid_2d):
-        from repro.core.pipeline import SparStencilCompiler
-        compiler = SparStencilCompiler()
-        compiled, result = compiler.solve(heat2d, small_grid_2d, 2, cache=True)
-        assert result.output.shape == small_grid_2d.shape
-        # per-call True promotes to a compiler-owned cache, so a second call
-        # actually memoises instead of building a throwaway cache
-        again, _ = compiler.solve(heat2d, small_grid_2d, 2, cache=True)
-        assert compiler.cache is not None
-        assert compiler.cache.stats.hits == 1
-
-    def test_compile_accepts_per_call_cache_override(self, heat2d):
-        from repro.core.pipeline import SparStencilCompiler
-        session = CompileCache()
-        compiler = SparStencilCompiler(cache=session)
-        compiler.compile(heat2d, (40, 44), cache=False)  # bypass
-        assert len(session) == 0
-        override = CompileCache()
-        compiler.compile(heat2d, (40, 44), cache=override)
-        assert len(override) == 1 and len(session) == 0
 
     def test_warm_lookup_does_not_refuse_the_pattern(self, box2d49p,
                                                      monkeypatch):
@@ -329,8 +309,8 @@ class TestPersistence:
         assert second.stats.saved_seconds == pytest.approx(
             2 * first.stats.compile_seconds)
         assert np.array_equal(reloaded.plan.a_operand, compiled.plan.a_operand)
-        result = run_stencil(reloaded, small_grid_2d, 2)
-        expected = run_stencil(compiled, small_grid_2d, 2)
+        result = execute_compiled(reloaded, small_grid_2d, 2)
+        expected = execute_compiled(compiled, small_grid_2d, 2)
         assert np.array_equal(result.output, expected.output)
 
     def test_unpicklable_plan_does_not_fail_the_solve(self, tmp_path):
@@ -340,16 +320,6 @@ class TestPersistence:
         compiled = cache.compile(pattern, (40, 44))  # must not raise
         assert compiled is not None
         assert not list((tmp_path / "plans").glob("*.tmp"))
-
-    def test_per_call_cache_override_on_compiler_facade(self, heat2d,
-                                                        small_grid_2d):
-        from repro.core.pipeline import SparStencilCompiler
-        override = CompileCache()
-        compiler = SparStencilCompiler()  # no session cache
-        compiler.solve(heat2d, small_grid_2d, 2, cache=override)
-        assert override.stats.misses == 1
-        compiler.solve(heat2d, small_grid_2d, 2, cache=override)
-        assert override.stats.hits == 1
 
     def test_clear_can_remove_persisted_plans(self, heat2d, tmp_path):
         warm_dir = tmp_path / "plans"

@@ -1,18 +1,16 @@
 """Session-layer tests: the typed Problem→Solution front door.
 
-Covers the PR-4 acceptance criteria:
+Covers:
 
-* every legacy entry point (``run_stencil``, ``sparstencil_solve``,
-  ``solve_many``, ``solve_sharded``) emits a
-  ``DeprecationWarning`` and returns results bit-identical to the session
-  path it delegates to;
+* ``run``, ``solve`` and ``solve_batch`` return results bit-identical to
+  the engine-level calls they wrap;
 * ``StencilSession.solve`` reproduces the golden fixtures across modes
   ``single``, ``sharded`` and ``auto``;
 * ``mode="auto"`` demonstrably routes a large catalog problem to sharded
   execution and a small one to the single-device engine;
 * tags propagate into :class:`Solution` and ``BatchReport.by_tag``;
-* the executor registry is open for custom modes and the telemetry sink
-  sees one event per solve.
+* the executor registry is open for custom modes;
+* no mode raises a ``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -33,8 +31,8 @@ from repro import (
     get_benchmark,
     make_grid,
 )
-from repro.engine import SingleDeviceExecutor
-from repro.service import CompileCache, SolveRequest
+from repro.core.pipeline import execute_compiled
+from repro.engine import ShardedExecutor, SingleDeviceExecutor
 from repro.session.registry import SessionExecutor, default_registry
 from repro.session.problem import Provenance
 from repro.util.validation import ValidationError
@@ -81,65 +79,47 @@ class TestVocabulary:
         with pytest.raises(ValidationError, match="unknown solve mode"):
             session.solve(Problem(heat2d, small_grid_2d, 2), mode="warp-drive")
 
-    def test_solverequest_alias_warns_and_is_a_problem(self, heat2d,
-                                                       small_grid_2d):
-        with pytest.warns(DeprecationWarning, match="SolveRequest"):
-            request = SolveRequest(heat2d, small_grid_2d, 2, tag="alias")
-        assert isinstance(request, Problem)
-        assert request.tag == "alias"
-        assert request.compile_request().fingerprint == Problem(
-            heat2d, small_grid_2d, 2).compile_request().fingerprint
+class TestSessionMatchesEngine:
+    """Each session call is bit-identical to the engine call it wraps."""
 
-
-class TestLegacyShims:
-    """Each legacy entry point warns and stays bit-identical to the session."""
-
-    def test_run_stencil_shim(self, session, heat2d, small_grid_2d):
+    def test_run_matches_execute_compiled(self, session, heat2d,
+                                          small_grid_2d):
         compiled = compile_stencil(heat2d, small_grid_2d.shape)
-        with pytest.warns(DeprecationWarning, match="run_stencil"):
-            legacy = repro.run_stencil(compiled, small_grid_2d, 3)
+        engine = execute_compiled(compiled, small_grid_2d, 3)
         solution = session.run(compiled, small_grid_2d, 3)
-        assert np.array_equal(legacy.output, solution.output)
+        assert np.array_equal(engine.output, solution.output)
         assert solution.provenance.executor == "single"
 
-    def test_sparstencil_solve_shim(self, session, heat2d, small_grid_2d):
-        with pytest.warns(DeprecationWarning, match="sparstencil_solve"):
-            compiled, legacy = repro.sparstencil_solve(heat2d, small_grid_2d, 3)
+    def test_single_solve_matches_engine(self, session, heat2d,
+                                         small_grid_2d):
+        compiled = compile_stencil(heat2d, small_grid_2d.shape)
+        engine = execute_compiled(compiled, small_grid_2d, 3)
         solution = session.solve(Problem(heat2d, small_grid_2d, 3),
                                  mode="single")
-        assert np.array_equal(legacy.output, solution.output)
+        assert np.array_equal(engine.output, solution.output)
         assert compiled.grid_shape == solution.compiled.grid_shape
 
-    def test_solve_many_shim(self, session, heat2d, box2d9p):
+    def test_solve_batch_matches_single_solves(self, session, heat2d,
+                                               box2d9p):
         problems = [Problem(heat2d, make_grid((48, 48), seed=i), 2, tag=f"h{i}")
                     for i in range(3)]
         problems += [Problem(box2d9p, make_grid((48, 48), seed=9), 2, tag="b0")]
-        with pytest.warns(DeprecationWarning, match="solve_many"):
-            legacy = repro.solve_many(problems)
         report = session.solve_batch(problems)
-        for old, new in zip(legacy.items, report.items):
-            assert np.array_equal(old.result.output, new.result.output)
-            assert old.tag == new.tag
-        assert legacy.distinct_plans == report.distinct_plans == 2
+        for problem, item in zip(problems, report.items):
+            single = session.solve(problem, mode="single")
+            assert np.array_equal(single.output, item.result.output)
+            assert single.tag == item.tag
+        assert report.distinct_plans == 2
 
-    def test_solve_sharded_shim(self, session, heat1d):
+    def test_sharded_solve_matches_engine(self, session, heat1d):
         grid = make_grid((2048,), kind="random", seed=2026)
-        with pytest.warns(DeprecationWarning, match="solve_sharded"):
-            _, legacy = repro.solve_sharded(heat1d, grid, 4, devices=2)
+        compiled = compile_stencil(heat1d, grid.shape)
+        engine = ShardedExecutor(2).execute(compiled, grid, 4)
         solution = session.solve(Problem(heat1d, grid, 4),
                                  SolvePolicy(mode="sharded", devices=2))
-        assert np.array_equal(legacy.output, solution.output)
-        assert legacy.shard_grid == solution.result.shard_grid
+        assert np.array_equal(engine.output, solution.output)
+        assert engine.shard_grid == solution.result.shard_grid
         assert solution.provenance.executor == "sharded"
-
-    def test_run_stencil_batch_shim(self, session, heat2d):
-        problems = [Problem(heat2d, make_grid((48, 48), seed=i), 2)
-                    for i in range(2)]
-        with pytest.warns(DeprecationWarning, match="run_stencil_batch"):
-            legacy = repro.run_stencil_batch(problems)
-        report = session.solve_batch(problems)
-        for old, new in zip(legacy, report.results):
-            assert np.array_equal(old.output, new.output)
 
 
 @pytest.mark.parametrize("name,grid_shape,iterations,seed", GOLDEN_CASES,
@@ -255,9 +235,6 @@ class TestTagsAndBatch:
         assert report.compiles_performed == 1
         again = session.solve_batch(problems)
         assert again.compiles_performed == 0  # warm across batches
-        # cache=None reproduces the legacy private per-batch cache
-        private = session.solve_batch(problems, cache=None)
-        assert private.compiles_performed == 1
 
     def test_served_mode_matches_single(self, heat2d):
         grid = make_grid((48, 48), seed=3)
@@ -284,53 +261,16 @@ class TestTagsAndBatch:
         assert (old.tag, old.run.tag) == ("old", "old")
         assert (new.tag, new.run.tag) == ("new", "new")
 
-    def test_served_mode_rejects_cache_override(self, heat2d):
-        grid = make_grid((48, 48), seed=3)
-        with StencilSession(devices=1) as session:
-            with pytest.raises(ValidationError, match="session cache"):
-                session.solve(Problem(heat2d, grid, 2), mode="served",
-                              cache=None)
-            with pytest.raises(ValidationError, match="session cache"):
-                session.solve(Problem(heat2d, grid, 2), mode="served",
-                              cache=CompileCache())
-
-
-class TestTelemetryAndRegistry:
-    def test_telemetry_sink_sees_every_solve(self, heat2d):
-        events = []
-        with StencilSession(devices=2, telemetry=events.append) as session:
-            session.solve(Problem(heat2d, make_grid((48, 48), seed=1), 2,
-                                  tag="a"))
-            session.solve_batch([Problem(heat2d, make_grid((48, 48), seed=2),
-                                         2, tag="b")])
-        kinds = [event["event"] for event in events]
-        assert kinds == ["solve", "solve_batch"]
-        solve_event = events[0]
-        assert solve_event["tag"] == "a"
-        assert solve_event["executor"] == "single"
-        assert solve_event["mode_requested"] == "auto"
-        assert solve_event["elapsed_seconds"] > 0
-
-    def test_served_solve_emits_exactly_one_event(self, heat2d):
-        """Server micro-batches go through the non-emitting engine path, so
-        a served solve is one session-level event regardless of routing."""
-        events = []
-        with StencilSession(devices=2, telemetry=events.append) as session:
-            session.solve(Problem(heat2d, make_grid((48, 48), seed=4), 2),
-                          mode="served")
-        assert [event["event"] for event in events] == ["solve"]
-        assert events[0]["executor"] == "served"
-
+class TestRegistry:
     def test_custom_executor_mode(self, heat2d, small_grid_2d):
         class EchoExecutor(SessionExecutor):
             name = "echo"
 
-            def solve(self, session, problem, policy, *, cache,
-                      compiled=None, compile_request=None,
-                      mode_requested=None, reason=""):
+            def solve(self, session, problem, policy, *, compiled=None,
+                      compile_request=None, mode_requested=None, reason=""):
                 compiled, creq = self._resolve_plan(
-                    problem, cache, compiled, compile_request)
-                result = SingleDeviceExecutor(cache=cache).execute(
+                    problem, session.cache, compiled, compile_request)
+                result = SingleDeviceExecutor(cache=session.cache).execute(
                     compiled, problem.grid, problem.iterations)
                 return Solution(
                     result=self._tagged(result, problem.tag),
@@ -405,10 +345,10 @@ class TestTelemetryAndRegistry:
         assert speedups["SparStencil"] > 1.0
 
 
-class TestNoInternalShimUsage:
-    """The package must never call its own deprecated shims: running a
-    representative all-modes workload under ``error::DeprecationWarning``
-    must stay silent (the CI strict step runs the whole suite this way)."""
+class TestDeprecationClean:
+    """A representative all-modes workload stays silent under
+    ``error::DeprecationWarning`` (CI runs the whole tier-1 suite this
+    way)."""
 
     def test_all_modes_are_warning_free(self, heat2d):
         grid = make_grid((48, 48), seed=11)

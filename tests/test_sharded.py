@@ -25,7 +25,7 @@ from repro.analysis import (deep_halo_tradeoff, per_shard_utilization,
 from repro.engine import ShardedExecutor, SingleDeviceExecutor, SweepExecutor
 from repro.engine.sharded import (RoundSchedule, ShardGeometry,
                                   price_schedule)
-from repro.service import CompileCache, solve_sharded
+from repro.service import CompileCache
 from repro.obs.metrics import global_registry
 from repro.service.cache import SHARD_LAYOUT_LIMIT
 from repro.stencils.boundary import neumann
@@ -638,10 +638,19 @@ class TestDeepHaloTradeoff:
         assert trade.predicted_depth == best
 
 
-class TestSolveSharded:
+def sharded_solve(pattern, grid, iterations, devices, cache=None,
+                  **options):
+    """``(compiled, result)`` of a sharded session solve over ``devices``."""
+    solution = StencilSession(cache=cache).solve(
+        Problem(pattern, grid, iterations, options=options),
+        mode="sharded", devices=devices)
+    return solution.compiled, solution.result
+
+
+class TestShardedSolve:
     def test_matches_direct_pipeline(self, heat2d):
         grid = make_grid((96, 96), seed=9)
-        compiled, result = solve_sharded(heat2d, grid, 2, devices=2)
+        compiled, result = sharded_solve(heat2d, grid, 2, devices=2)
         single = SingleDeviceExecutor().execute(compiled, grid, 2)
         assert np.array_equal(result.output, single.output)
         assert result.device_count == 2
@@ -649,9 +658,9 @@ class TestSolveSharded:
     def test_cache_shared_between_global_and_shard_plans(self, heat2d):
         cache = CompileCache()
         grid = make_grid((96, 96), seed=9)
-        solve_sharded(heat2d, grid, 2, devices=2, cache=cache)
+        sharded_solve(heat2d, grid, 2, devices=2, cache=cache)
         before = cache.stats.misses
-        solve_sharded(heat2d, grid, 2, devices=2, cache=cache)
+        sharded_solve(heat2d, grid, 2, devices=2, cache=cache)
         assert cache.stats.misses == before  # fully warm second run
 
     def test_integer_devices_inherit_compiled_spec(self, heat2d):
@@ -659,8 +668,8 @@ class TestSolveSharded:
         from repro.tcu.spec import A100_SPEC
         weak = A100_SPEC.with_overrides(sm_count=27, global_bandwidth_gbs=400.0)
         grid = make_grid((96, 96), seed=9)
-        _, on_weak = solve_sharded(heat2d, grid, 2, devices=2, spec=weak)
-        _, on_a100 = solve_sharded(heat2d, grid, 2, devices=2)
+        _, on_weak = sharded_solve(heat2d, grid, 2, devices=2, spec=weak)
+        _, on_a100 = sharded_solve(heat2d, grid, 2, devices=2)
         assert on_weak.elapsed_seconds > on_a100.elapsed_seconds
         # different specs may pick different layouts, so only functional
         # closeness (not bit-equality) holds across devices
@@ -672,8 +681,8 @@ class TestSolveSharded:
                                link_latency_seconds=1e-3)
         fast = multi_a100(2)
         grid = make_grid((96, 96), seed=9)
-        _, on_slow = solve_sharded(heat2d, grid, 2, devices=slow)
-        _, on_fast = solve_sharded(heat2d, grid, 2, devices=fast)
+        _, on_slow = sharded_solve(heat2d, grid, 2, devices=slow)
+        _, on_fast = sharded_solve(heat2d, grid, 2, devices=fast)
         assert on_slow.elapsed_seconds > on_fast.elapsed_seconds
         assert np.array_equal(on_slow.output, on_fast.output)
 
