@@ -95,7 +95,7 @@ def main() -> None:
     session = StencilSession()
     solution = session.solve(Problem(program=program, grid=grid,
                                      iterations=STEPS))
-    print("Routed to:", solution.provenance.delegate,
+    print("Routed to:", solution.provenance.executor,
           "|", solution.provenance.reason)
 
     reference = run_program_reference(program, grid, STEPS)

@@ -194,6 +194,11 @@ class ProgramPlan:
         return self.stages[0].compiled[0].plan.dtype
 
     @property
+    def spec(self):
+        """The device the stages were compiled for (the first stage's)."""
+        return self.stages[0].compiled[0].spec
+
+    @property
     def stage_count(self) -> int:
         return len(self.stages)
 

@@ -292,8 +292,7 @@ def model_program(plan: ProgramPlan, devices: int = 2, steps: int = 1,
         return unsharded("the partition degenerates to one shard")
 
     if spec is None:
-        spec = MultiDeviceSpec(device=plan.stages[0].compiled[0].spec,
-                               device_count=devices)
+        spec = MultiDeviceSpec(device=plan.spec, device_count=devices)
     geometry = ShardGeometry.build(partition, spec, plan.dtype.itemsize)
     bill = price_schedule(
         RoundSchedule.program(groups, steps), geometry,

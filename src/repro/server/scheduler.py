@@ -41,11 +41,9 @@ lease protocol guarantees in-use devices never exceed the pool size.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional, \
-    Tuple, Union
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -108,6 +106,10 @@ class _ProgramKey(NamedTuple):
     free: int
 
 
+#: One device count's outcome in :meth:`DevicePoolScheduler._decide_shards`.
+_Candidate = Union[Tuple[float, float, int, str], str, None]
+
+
 class RouteCancelledError(RuntimeError):
     """Raised by :meth:`DevicePoolScheduler.route` when its ``cancel`` event
     is set while waiting for a free device.  The caller owns the batch whose
@@ -130,6 +132,13 @@ class RoutingDecision:
     @property
     def sharded(self) -> bool:
         return self.executor == "sharded"
+
+
+def _single(reason: str, sweep_seconds: float) -> RoutingDecision:
+    """A single-device decision: no modelled speedup, no exchange."""
+    return RoutingDecision(executor="single", devices=1, reason=reason,
+                           sweep_seconds=sweep_seconds, modelled_speedup=1.0,
+                           halo_fraction=0.0)
 
 
 class DevicePoolScheduler:
@@ -255,10 +264,9 @@ class DevicePoolScheduler:
     # ------------------------------------------------------------------ #
     # decision model
     # ------------------------------------------------------------------ #
-    def _sharded_estimate(self, key: _KernelKey, devices: int
-                          ) -> Optional[Tuple[float, float, int]]:
-        """``(modelled speedup, halo fraction, halo depth)`` of a
-        ``devices``-way shard at its best communication-avoiding depth.
+    def _sharded_estimate(self, key: _KernelKey, devices: int) -> _Candidate:
+        """``(modelled speedup, halo fraction, halo depth, reason detail)``
+        of a ``devices``-way shard at its best communication-avoiding depth.
 
         Prices the steady-state round
         (:meth:`~repro.engine.sharded.RoundSchedule.steady_state`: an
@@ -290,7 +298,7 @@ class DevicePoolScheduler:
             depths = [min(self.halo_depth, feasible)]
         else:
             depths = range(1, min(self.max_halo_depth, feasible) + 1)
-        best: Optional[Tuple[float, float, int]] = None
+        best: _Candidate = None
         for depth in depths:
             try:
                 # boundary-aware: periodic wrap adds real interconnect
@@ -311,7 +319,8 @@ class DevicePoolScheduler:
             speedup = sweep / bill.per_sweep_seconds \
                 if bill.per_sweep_seconds > 0 else 0.0
             if best is None or speedup > best[0]:
-                best = (speedup, bill.halo_fraction, depth)
+                best = (speedup, bill.halo_fraction, depth,
+                        f"halo depth {depth}")
         return best
 
     def decide(self, compiled: CompiledStencil, iterations: int,
@@ -340,44 +349,17 @@ class DevicePoolScheduler:
             free=self._clamp_free(free_devices))
 
     def _decide_kernel(self, key: _KernelKey) -> RoutingDecision:
-        sweep = key.sweep_seconds
-
-        def single(reason: str) -> RoutingDecision:
-            return RoutingDecision(
-                executor="single", devices=1, reason=reason,
-                sweep_seconds=sweep, modelled_speedup=1.0, halo_fraction=0.0)
-
-        if key.free < 2:
-            return single("pool busy: fewer than 2 devices free")
-        if not key.fusion_divides:
-            return single("iterations not divisible by the temporal-fusion "
-                          "factor (leftover sweeps are single-device)")
         config = key.config
-        if MorphConfig.from_r1_r2(key.ndim, config.r1, config.r2) != config:
-            return single("layout not expressible as (r1, r2); sharded "
-                          "execution unsupported")
-
-        best: Optional[RoutingDecision] = None
-        devices = 2
-        while devices <= key.free:
-            estimate = self._sharded_estimate(key, devices)
-            if estimate is not None:
-                speedup, halo_fraction, halo_depth = estimate
-                if (halo_fraction <= self.max_halo_fraction
-                        and (best is None
-                             or speedup > best.modelled_speedup)):
-                    best = RoutingDecision(
-                        executor="sharded", devices=devices,
-                        reason=f"modelled {speedup:.2f}x on {devices} "
-                               f"devices (halo depth {halo_depth})",
-                        sweep_seconds=sweep, modelled_speedup=speedup,
-                        halo_fraction=halo_fraction, halo_depth=halo_depth,
-                        overlap=self.overlap)
-            devices *= 2
-        if best is None or best.modelled_speedup < self.min_speedup:
-            return single("latency-bound: modelled sharded speedup below "
-                          f"{self.min_speedup:.2f}x threshold")
-        return best
+        blocked = None
+        if not key.fusion_divides:
+            blocked = ("iterations not divisible by the temporal-fusion "
+                       "factor (leftover sweeps are single-device)")
+        elif MorphConfig.from_r1_r2(key.ndim, config.r1, config.r2) != config:
+            blocked = ("layout not expressible as (r1, r2); sharded "
+                       "execution unsupported")
+        return self._decide_shards(
+            key.free, key.sweep_seconds,
+            lambda devices: blocked or self._sharded_estimate(key, devices))
 
     def decide_program(self, plan: "Any", steps: int,
                        free_devices: Optional[int] = None) -> RoutingDecision:
@@ -406,61 +388,68 @@ class DevicePoolScheduler:
         dtype, device) and its name, which ``key.name`` carries."""
         from repro.programs.executor import model_program
 
-        step_seconds = plan.single_step_seconds
-
-        def single(reason: str) -> RoutingDecision:
-            return RoutingDecision(
-                executor="single", devices=1, reason=reason,
-                sweep_seconds=step_seconds, modelled_speedup=1.0,
-                halo_fraction=0.0)
-
-        if key.free < 2:
-            return single("pool busy: fewer than 2 devices free")
-
-        best: Optional[RoutingDecision] = None
-        devices = 2
-        while devices <= key.free:
-            spec = self.pool.with_overrides(
-                device=plan.stages[0].compiled[0].spec, device_count=devices)
+        def candidate(devices: int) -> _Candidate:
+            spec = self.pool.with_overrides(device=plan.spec,
+                                            device_count=devices)
             model = model_program(plan, devices=devices, steps=key.steps,
                                   fuse=True, overlap=self.overlap, spec=spec)
-            if model.sharded_seconds is not None:
-                speedup = model.single_seconds / model.sharded_seconds \
-                    if model.sharded_seconds > 0 else 0.0
-                halo_fraction = model.exposed_seconds / model.sharded_seconds \
-                    if model.sharded_seconds > 0 else 0.0
+            if model.sharded_seconds is None:
+                # the chain, radius or geometry rules sharding out
+                return model.reason
+            speedup = model.single_seconds / model.sharded_seconds \
+                if model.sharded_seconds > 0 else 0.0
+            halo_fraction = model.exposed_seconds / model.sharded_seconds \
+                if model.sharded_seconds > 0 else 0.0
+            return (speedup, halo_fraction, model.halo_depth,
+                    f"{len(model.groups)} fused group(s)/step, "
+                    f"depth {model.halo_depth}")
+
+        return self._decide_shards(key.free, plan.single_step_seconds,
+                                   candidate)
+
+    def _decide_shards(self, free: int, sweep_seconds: float,
+                       candidate: Callable[[int], _Candidate]
+                       ) -> RoutingDecision:
+        """The candidate loop shared by kernels and programs.
+
+        Walks the free power-of-two device counts from 2 and keeps the
+        fastest candidate whose exposed-exchange share stays under
+        ``max_halo_fraction``; it must beat ``min_speedup`` or the decision
+        stays on one device.  ``candidate(devices)`` returns ``(speedup,
+        halo fraction, halo depth, reason detail)``, ``None`` when the
+        geometry cannot host that count, or a reason string when sharding
+        is ruled out structurally: before any candidate was kept, no larger
+        count can change that, so the decision is single with that reason.
+        """
+        if free < 2:
+            return _single("pool busy: fewer than 2 devices free",
+                           sweep_seconds)
+        best: Optional[RoutingDecision] = None
+        devices = 2
+        while devices <= free:
+            outcome = candidate(devices)
+            if isinstance(outcome, str):
+                if best is None:
+                    return _single(outcome, sweep_seconds)
+            elif outcome is not None:
+                speedup, halo_fraction, halo_depth, detail = outcome
                 if (halo_fraction <= self.max_halo_fraction
                         and (best is None
                              or speedup > best.modelled_speedup)):
                     best = RoutingDecision(
                         executor="sharded", devices=devices,
                         reason=f"modelled {speedup:.2f}x on {devices} "
-                               f"devices ({len(model.groups)} fused "
-                               f"group(s)/step, depth {model.halo_depth})",
-                        sweep_seconds=step_seconds,
+                               f"devices ({detail})",
+                        sweep_seconds=sweep_seconds,
                         modelled_speedup=speedup,
-                        halo_fraction=halo_fraction,
-                        halo_depth=model.halo_depth,
+                        halo_fraction=halo_fraction, halo_depth=halo_depth,
                         overlap=self.overlap)
-            elif best is None:
-                # remember why sharding is off the table (chain/radius/
-                # geometry); larger counts cannot fix a structural reason
-                return single(model.reason)
             devices *= 2
         if best is None or best.modelled_speedup < self.min_speedup:
-            return single("latency-bound: modelled sharded speedup below "
-                          f"{self.min_speedup:.2f}x threshold")
+            return _single("latency-bound: modelled sharded speedup below "
+                           f"{self.min_speedup:.2f}x threshold",
+                           sweep_seconds)
         return best
-
-    def spec_for_program(self, decision: RoutingDecision,
-                         plan: "Any") -> MultiDeviceSpec:
-        """The cluster slice a sharded program runs on — ``decision.devices``
-        copies of the device the program's stages were compiled for, joined
-        by the pool's interconnect (the program analogue of
-        :meth:`spec_for`)."""
-        return self.pool.with_overrides(
-            device=plan.stages[0].compiled[0].spec,
-            device_count=decision.devices)
 
     # ------------------------------------------------------------------ #
     # lease integration
@@ -518,29 +507,18 @@ class DevicePoolScheduler:
             lease = self.ledger.try_acquire(decision.devices)
             if lease is not None:
                 return decision, lease
-        decision = RoutingDecision(
-            executor="single", devices=1,
-            reason=f"pool contention: {self.route_retries} optimistic "
-                   f"multi-device leases failed; degrading to single",
-            sweep_seconds=compiled.plan.estimate.t_total,
-            modelled_speedup=1.0, halo_fraction=0.0)
+        decision = _single(f"pool contention: {self.route_retries} "
+                           f"optimistic multi-device leases failed; "
+                           f"degrading to single",
+                           compiled.plan.estimate.t_total)
         return decision, self._lease_single(cancel, poll_seconds)
 
-    @contextlib.contextmanager
-    def leased(self, decision: RoutingDecision
-               ) -> Iterator[DeviceLease]:
-        """Context manager leasing ``decision.devices`` for a run."""
-        lease = self.ledger.acquire(decision.devices)
-        try:
-            yield lease
-        finally:
-            self.ledger.release(lease)
-
-    def spec_for(self, decision: RoutingDecision,
-                 compiled: CompiledStencil) -> MultiDeviceSpec:
+    def spec_for(self, decision: RoutingDecision, compiled: "Any"
+                 ) -> MultiDeviceSpec:
         """The cluster slice a sharded run executes on: ``decision.devices``
-        copies of the *compiled plan's* device (so per-shard fingerprints
-        match the plan, as the sharded executor requires), joined by the
-        pool's interconnect."""
+        copies of the device the plan — a kernel's
+        :class:`CompiledStencil` or a :class:`repro.programs.ProgramPlan` —
+        was compiled for (so per-shard fingerprints match the plan, as the
+        sharded runners require), joined by the pool's interconnect."""
         return self.pool.with_overrides(device=compiled.spec,
                                         device_count=decision.devices)

@@ -51,7 +51,6 @@ _LAZY = {
     "SingleDeviceSessionExecutor": "repro.session.registry",
     "ShardedSessionExecutor": "repro.session.registry",
     "ServedSessionExecutor": "repro.session.registry",
-    "ProgramSessionExecutor": "repro.session.registry",
     "SessionConfig": "repro.session.session",
     "StencilSession": "repro.session.session",
 }

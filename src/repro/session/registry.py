@@ -4,7 +4,10 @@ Every execution mode is a :class:`SessionExecutor` — one object that turns a
 ``(Problem, SolvePolicy)`` pair into a :class:`~repro.session.problem.Solution`
 against the session's cache and device pool.  The built-ins cover the four
 engines the repo already has (single-device, sharded, the online server, and
-the baseline comparators); new workloads register additional modes on an
+the baseline comparators).  There is one executor per device count: the
+``single`` and ``sharded`` executors run a kernel plan and a
+:class:`~repro.programs.ProgramPlan` alike, and only their engine call
+branches on the plan type.  New workloads register additional modes on an
 :class:`ExecutorRegistry` instead of growing another top-level function:
 
 >>> registry = default_registry()                      # doctest: +SKIP
@@ -16,8 +19,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.programs.compile import ProgramPlan, compile_program
 from repro.session.problem import (
     BASELINE_MODE_PREFIX,
     Problem,
@@ -34,7 +38,6 @@ __all__ = [
     "ShardedSessionExecutor",
     "ServedSessionExecutor",
     "BaselineSessionExecutor",
-    "ProgramSessionExecutor",
     "ExecutorRegistry",
     "default_registry",
 ]
@@ -67,7 +70,15 @@ class SessionExecutor(abc.ABC):
     def _resolve_plan(problem: Problem, cache: "Any",
                       compiled: "Any", compile_request: "Any"):
         """``(compiled, compile_request)`` — compiling through ``cache``
-        when the session has not resolved them already."""
+        when the session has not resolved them already.  A program compiles
+        stage by stage into a :class:`~repro.programs.ProgramPlan` and has
+        no one compile request (``None``)."""
+        if problem.is_program:
+            if compiled is None:
+                compiled = compile_program(problem.program, problem.grid,
+                                           cache,
+                                           options=dict(problem.options))
+            return compiled, None
         if compile_request is None:
             compile_request = problem.compile_request()
         if compiled is None:
@@ -81,71 +92,128 @@ class SessionExecutor(abc.ABC):
         return result
 
 
+def _fingerprint(compiled: "Any", compile_request: "Any") -> str:
+    """A kernel's compile request fingerprint, or a program's own."""
+    return compiled.fingerprint if compile_request is None \
+        else compile_request.fingerprint
+
+
+def plan_provenance(compiled: "Any", route: str, reason: str,
+                    fusion_groups: Tuple[Tuple[str, ...], ...]
+                    ) -> Dict[str, Any]:
+    """The :class:`Provenance` fields a run of a SparStencil plan fixes.
+
+    The engine, boundary and backend are the plan's; a program's record
+    also lists every stage tap's compile fingerprint and the
+    ``fusion_groups`` the run executed.  An empty ``reason`` becomes the
+    explicit ``route`` ("single-device" or "sharded") taken.
+    """
+    program = isinstance(compiled, ProgramPlan)
+    return dict(
+        engine=compiled.engine,
+        reason=reason or f"explicit {route} "
+                         f"{'program ' if program else ''}route",
+        boundary=compiled.boundary,
+        backend=compiled.backend,
+        stage_fingerprints=tuple(
+            f"{cstage.name}:{fingerprint}" for cstage in compiled.stages
+            for fingerprint in cstage.fingerprints) if program else (),
+        fusion_groups=fusion_groups)
+
+
 class SingleDeviceSessionExecutor(SessionExecutor):
-    """Compile (through the cache) and sweep on one simulated device."""
+    """Compile (through the cache) and sweep a kernel or a program on one
+    simulated device."""
 
     name = "single"
 
     def solve(self, session, problem, policy, *, compiled=None,
               compile_request=None, mode_requested=None, reason=""):
-        from repro.engine.single import SingleDeviceExecutor
-
         compiled, compile_request = self._resolve_plan(
             problem, session.cache, compiled, compile_request)
-        result = SingleDeviceExecutor(cache=session.cache).execute(
-            compiled, problem.grid, problem.iterations)
-        result = self._tagged(result, problem.tag)
+        result, fusion_groups = self.sweep(session, compiled, problem.grid,
+                                           problem.iterations)
         return Solution(
-            result=result,
+            result=self._tagged(result, problem.tag),
             compiled=compiled,
-            fingerprint=compile_request.fingerprint,
+            fingerprint=_fingerprint(compiled, compile_request),
             provenance=Provenance(
                 mode_requested=mode_requested or policy.mode,
                 executor=self.name,
-                engine=compiled.engine,
                 devices=1,
-                reason=reason or "explicit single-device route",
-                boundary=compiled.boundary,
-                backend=compiled.backend),
+                **plan_provenance(compiled, "single-device", reason,
+                                  fusion_groups)),
             tag=problem.tag)
+
+    @staticmethod
+    def sweep(session: "Any", compiled: "Any", grid: "Any", iterations: int
+              ) -> Tuple["Any", Tuple[Tuple[str, ...], ...]]:
+        """``(result, fusion groups)`` of a resolved plan run on one device:
+        a kernel on the :class:`~repro.engine.SingleDeviceExecutor`
+        (leftover plans from the session cache), a program on the
+        :class:`~repro.programs.ProgramRunner`."""
+        if isinstance(compiled, ProgramPlan):
+            from repro.programs.executor import ProgramRunner
+
+            # no exchange exists on one device, so nothing fuses: the
+            # executed grouping is one stage per group
+            return (ProgramRunner().execute(compiled, grid, iterations),
+                    tuple((name,) for name in compiled.program.stage_names))
+        from repro.engine.single import SingleDeviceExecutor
+
+        return SingleDeviceExecutor(cache=session.cache).execute(
+            compiled, grid, iterations), ()
 
 
 class ShardedSessionExecutor(SessionExecutor):
-    """Domain-decomposed execution across the session pool (or the policy's
-    device override).  Bit-identical to single-device execution."""
+    """Domain-decomposed execution of a kernel or a chain program across
+    the session pool (or the policy's device override).  Bit-identical to
+    single-device execution."""
 
     name = "sharded"
 
     def solve(self, session, problem, policy, *, compiled=None,
               compile_request=None, mode_requested=None, reason=""):
-        from repro.engine.sharded import ShardedExecutor
-
         compiled, compile_request = self._resolve_plan(
             problem, session.cache, compiled, compile_request)
         devices = policy.devices if policy.devices is not None \
             else session.pool
         max_workers = policy.max_workers if policy.max_workers is not None \
             else session.config.max_workers
-        halo_depth = policy.halo_depth if policy.halo_depth is not None else 1
-        executor = ShardedExecutor(devices, shard_grid=policy.shard_grid,
-                                   cache=session.cache,
-                                   max_workers=max_workers,
-                                   halo_depth=halo_depth,
-                                   overlap=policy.overlap)
-        result = executor.execute(compiled, problem.grid, problem.iterations)
-        result = self._tagged(result, problem.tag)
+        fusion_groups: Tuple[Tuple[str, ...], ...] = ()
+        if isinstance(compiled, ProgramPlan):
+            from repro.programs.executor import ShardedProgramRunner
+
+            # a program's halo depth is its fusion-group span
+            runner = ShardedProgramRunner(
+                devices, shard_grid=policy.shard_grid, cache=session.cache,
+                max_workers=max_workers, overlap=policy.overlap)
+            result = runner.execute(compiled, problem.grid,
+                                    problem.iterations)
+            # with a cache the run memoized its layout: this is a lookup
+            fusion_groups = runner.partition(compiled)[1]
+        else:
+            from repro.engine.sharded import ShardedExecutor
+
+            halo_depth = policy.halo_depth \
+                if policy.halo_depth is not None else 1
+            executor = ShardedExecutor(devices, shard_grid=policy.shard_grid,
+                                       cache=session.cache,
+                                       max_workers=max_workers,
+                                       halo_depth=halo_depth,
+                                       overlap=policy.overlap)
+            result = executor.execute(compiled, problem.grid,
+                                      problem.iterations)
         return Solution(
-            result=result,
+            result=self._tagged(result, problem.tag),
             compiled=compiled,
-            fingerprint=compile_request.fingerprint,
+            fingerprint=_fingerprint(compiled, compile_request),
             provenance=Provenance(
                 mode_requested=mode_requested or policy.mode,
                 executor=self.name,
-                engine=compiled.engine,
                 devices=result.device_count,
-                reason=reason or "explicit sharded route",
-                boundary=compiled.boundary,
-                backend=compiled.backend),
+                **plan_provenance(compiled, "sharded", reason,
+                                  fusion_groups)),
             tag=problem.tag)
 
 
@@ -207,6 +275,9 @@ class BaselineSessionExecutor(SessionExecutor):
               compile_request=None, mode_requested=None, reason=""):
         from repro.tcu.spec import A100_SPEC, DataType
 
+        if problem.is_program:
+            raise ValidationError(
+                "a program problem cannot run on a baseline comparator")
         if problem.boundary != "dirichlet":
             raise ValidationError(
                 f"baseline comparators implement the fixed-halo Dirichlet "
@@ -250,104 +321,6 @@ class BaselineSessionExecutor(SessionExecutor):
                 # comparators own their cost models end to end and never
                 # touch the SparStencil backend registry
                 backend=""),
-            tag=problem.tag)
-
-
-class ProgramSessionExecutor(SessionExecutor):
-    """Execute a multi-stage :class:`~repro.programs.StencilProgram` problem.
-
-    The session routes every ``Problem(program=...)`` here regardless of the
-    policy mode; this executor then resolves the mode itself — ``single``
-    runs the :class:`~repro.programs.ProgramRunner`, ``sharded`` the
-    :class:`~repro.programs.ShardedProgramRunner`, and ``auto`` asks the
-    session scheduler's :meth:`~repro.server.scheduler.DevicePoolScheduler.
-    decide_program` (the same min-speedup / halo-fraction gates as plain
-    kernels).  ``served`` and ``baseline:*`` modes do not apply to programs
-    and are rejected.  The provenance records the program fingerprint's
-    constituents: every stage tap's compile fingerprint plus the fusion
-    groups the run executed (read back from the sharded layout the run
-    memoized, so recording them costs a lookup).
-    """
-
-    name = "program"
-
-    def solve(self, session, problem, policy, *, compiled=None,
-              compile_request=None, mode_requested=None, reason=""):
-        from repro.programs import (
-            ProgramRunner,
-            ShardedProgramRunner,
-            compile_program,
-        )
-
-        kind = policy.mode_kind
-        if kind not in ("auto", "single", "sharded"):
-            raise ValidationError(
-                f"program problems route through auto/single/sharded; "
-                f"mode {policy.mode!r} is not supported for programs")
-        plan = compiled
-        if plan is None:
-            plan = compile_program(problem.program, problem.grid,
-                                   session.cache,
-                                   options=dict(problem.options))
-        mode = kind
-        decision = None
-        if mode == "auto":
-            # direct solves decide against the full pool, like the
-            # session's plain-kernel auto route (no lease is taken)
-            decision = session.scheduler.decide_program(
-                plan, problem.iterations,
-                free_devices=session.pool.device_count)
-            mode = decision.executor
-            reason = reason or decision.reason
-
-        if mode == "sharded":
-            if policy.devices is not None:
-                devices = policy.devices
-            elif decision is not None:
-                devices = session.scheduler.spec_for_program(decision, plan)
-            else:
-                devices = session.pool
-            max_workers = policy.max_workers \
-                if policy.max_workers is not None \
-                else session.config.max_workers
-            runner = ShardedProgramRunner(
-                devices, shard_grid=policy.shard_grid, cache=session.cache,
-                max_workers=max_workers, overlap=policy.overlap)
-            result = runner.execute(plan, problem.grid, problem.iterations)
-            devices_used = result.device_count
-            # with a cache the run memoized its layout: this is a lookup
-            fusion_groups = runner.partition(plan)[1]
-            reason = reason or "explicit sharded program route"
-        else:
-            result = ProgramRunner().execute(plan, problem.grid,
-                                             problem.iterations)
-            devices_used = 1
-            # no exchange exists on one device, so nothing fuses: the
-            # executed grouping is one stage per group
-            fusion_groups = tuple(
-                (name,) for name in plan.program.stage_names)
-            reason = reason or "explicit single-device program route"
-
-        result = self._tagged(result, problem.tag)
-        stage_fingerprints = tuple(
-            f"{cstage.name}:{fingerprint}"
-            for cstage in plan.stages
-            for fingerprint in cstage.fingerprints)
-        return Solution(
-            result=result,
-            compiled=plan,
-            fingerprint=plan.fingerprint,
-            provenance=Provenance(
-                mode_requested=mode_requested or policy.mode,
-                executor=self.name,
-                engine=plan.engine,
-                devices=devices_used,
-                reason=reason,
-                delegate=mode,
-                boundary=plan.boundary,
-                backend=plan.backend,
-                stage_fingerprints=stage_fingerprints,
-                fusion_groups=fusion_groups),
             tag=problem.tag)
 
 
@@ -399,5 +372,4 @@ def default_registry() -> ExecutorRegistry:
     registry.register("single", SingleDeviceSessionExecutor)
     registry.register("sharded", ShardedSessionExecutor)
     registry.register("served", ServedSessionExecutor)
-    registry.register("program", ProgramSessionExecutor)
     return registry

@@ -13,7 +13,10 @@ registry and, lazily, an online :class:`~repro.server.facade.StencilServer`
 perf/partition model: latency-bound problems stay on one device, large grids
 shard across the pool, and the decision is recorded in
 :attr:`Solution.provenance`.  Explicit modes (``single``, ``sharded``,
-``served``, ``baseline:<name>``) pin the engine instead.
+``served``, ``baseline:<name>``) pin the engine instead.  A
+``Problem(program=...)`` routes like a kernel: ``auto`` compiles the
+program once, decides with the scheduler's program model and runs on the
+``single`` or ``sharded`` executor; any other mode rejects it.
 
 Every session-level solve reaches an engine through the session's
 :class:`~repro.session.registry.ExecutorRegistry`: ``solve`` creates the
@@ -40,11 +43,14 @@ from repro.session.problem import Problem, Provenance, Solution, SolvePolicy
 from repro.session.registry import (
     BaselineSessionExecutor,
     ExecutorRegistry,
+    SessionExecutor,
+    SingleDeviceSessionExecutor,
     default_registry,
+    plan_provenance,
 )
 from repro.tcu.spec import MultiDeviceSpec
 from repro.util.timing import Timer
-from repro.util.validation import require
+from repro.util.validation import ValidationError, require
 
 __all__ = [
     "SessionConfig",
@@ -176,13 +182,11 @@ class StencilSession:
             compile_request = None
             reason = ""
             mode = policy.mode
-            if problem.is_program:
-                # program problems always route through the program
-                # executor, which resolves auto/single/sharded itself
-                mode = "program"
-            elif mode == "auto":
-                compile_request = problem.compile_request()
-                compiled = self.cache.get_or_compile(compile_request)
+            if mode == "auto":
+                # the executor reuses both, so the fingerprint is derived
+                # and the plan compiled once per solve
+                compiled, compile_request = SessionExecutor._resolve_plan(
+                    problem, self.cache, None, None)
                 decision = self.decide(problem, compiled=compiled)
                 mode = decision.executor
                 reason = decision.reason
@@ -191,13 +195,18 @@ class StencilSession:
                         policy = replace(
                             policy, devices=self.scheduler.spec_for(
                                 decision, compiled))
-                    if policy.halo_depth is None:
-                        # run at the depth the routing model priced
+                    if policy.halo_depth is None and not problem.is_program:
+                        # run at the depth the routing model priced (a
+                        # program's depth is its fusion-group span instead)
                         policy = replace(policy,
                                          halo_depth=decision.halo_depth,
                                          overlap=decision.overlap)
 
             executor = self.registry.create(mode)
+            if problem.is_program and mode not in ("single", "sharded"):
+                raise ValidationError(
+                    f"program problems route through auto/single/sharded; "
+                    f"mode {policy.mode!r} is not supported for programs")
             solution = executor.solve(
                 self, problem, policy, compiled=compiled,
                 compile_request=compile_request,
@@ -252,34 +261,30 @@ class StencilSession:
             tag: Optional[str] = None) -> Solution:
         """Execute an already-compiled plan on one device.
 
-        The precompiled analogue of ``solve(mode="single")``; leftover
-        plans (non-divisible iteration counts) come from the session cache.
-        The original compile request is unknown here, so
+        The precompiled analogue of ``solve(mode="single")`` for a kernel
+        plan or a :class:`~repro.programs.ProgramPlan`; leftover plans
+        (non-divisible iteration counts) come from the session cache.  The
+        original compile request is unknown here, so
         :attr:`Solution.fingerprint` is empty.
         """
-        from repro.engine.single import SingleDeviceExecutor
-
         with self.tracer.span("run", iterations=iterations,
                               tag=tag) as root_span:
-            result = SingleDeviceExecutor(cache=self.cache).execute(
-                compiled, grid, iterations)
+            result, fusion_groups = SingleDeviceSessionExecutor.sweep(
+                self, compiled, grid, iterations)
             root_span.add_device_seconds(result.elapsed_seconds)
             trace_id = root_span.trace_id
-        if tag is not None:
-            result = replace(result, tag=tag)
         return Solution(
-            result=result,
+            result=SessionExecutor._tagged(result, tag),
             compiled=compiled,
             fingerprint="",
             provenance=Provenance(
                 mode_requested="single",
                 executor="single",
-                engine=compiled.engine,
                 devices=1,
-                reason="precompiled plan executed directly",
-                boundary=compiled.boundary,
-                backend=compiled.backend,
-                trace_id=trace_id),
+                trace_id=trace_id,
+                **plan_provenance(compiled, "single-device",
+                                  "precompiled plan executed directly",
+                                  fusion_groups)),
             tag=tag)
 
     def solve_baseline(self, problem: Problem, baseline: Any) -> Solution:
@@ -360,12 +365,8 @@ class StencilSession:
         :class:`~repro.programs.ProgramPlan`; plain pattern problems into a
         :class:`~repro.core.pipeline.CompiledStencil`.
         """
-        if problem.is_program:
-            from repro.programs import compile_program
-
-            return compile_program(problem.program, problem.grid, self.cache,
-                                   options=dict(problem.options))
-        return self.cache.get_or_compile(problem.compile_request())
+        return SessionExecutor._resolve_plan(problem, self.cache, None,
+                                             None)[0]
 
     def server(self, *, window_seconds: Optional[float] = None,
                max_batch_size: Optional[int] = None) -> Any:

@@ -424,6 +424,25 @@ class TestStageCacheAttribution:
 # --------------------------------------------------------------------- #
 # session routing
 # --------------------------------------------------------------------- #
+#: A pool whose links are fast enough that ``auto`` shards the 64x64 chain
+#: (a general DAG never shards).
+FAST_POOL = MultiDeviceSpec(device_count=4, interconnect_bandwidth_gbs=1e4,
+                            link_latency_seconds=1e-9)
+SESSION_PROGRAMS = {"chain": two_stage_chain, "dag": dag_program}
+#: The executor each ``(program, mode)`` runs on, and the fusion groups it
+#: records: a sharded chain fuses its equal-radius stages under one
+#: exchange, one device has no exchange to fuse.
+SESSION_ROUTES = {
+    ("chain", "single"): ("single", (("heat",), ("blur",))),
+    ("chain", "sharded"): ("sharded", (("heat", "blur"),)),
+    ("chain", "auto"): ("sharded", (("heat", "blur"),)),
+    ("dag", "single"): ("single", (("a",), ("b",))),
+    ("dag", "auto"): ("single", (("a",), ("b",))),
+}
+#: The stage of each ``stage_fingerprints`` entry (one entry per tap).
+STAGE_TAPS = {"chain": ["heat", "blur"], "dag": ["a", "b", "b"]}
+
+
 class TestSessionPrograms:
     def test_problem_validation(self):
         grid = make_grid(SHAPE, kind="random", seed=1)
@@ -439,50 +458,116 @@ class TestSessionPrograms:
         with pytest.raises(ValidationError):
             problem.compile_request()
 
-    def test_solve_single_and_sharded_identical(self):
+    @pytest.mark.parametrize("mode", ["single", "sharded", "auto"])
+    @pytest.mark.parametrize("kind", ["chain", "dag"])
+    def test_solve_runs_on_the_device_count_executor(self, kind, mode):
         grid = make_grid(SHAPE, kind="random", seed=2, boundary="reflect")
-        program = two_stage_chain()
-        with StencilSession(devices=4) as session:
-            single = session.solve(
-                Problem(program=program, grid=grid, iterations=STEPS),
-                mode="single")
-            sharded = session.solve(
-                Problem(program=program, grid=grid, iterations=STEPS),
-                mode="sharded")
-        assert single.provenance.executor == "program"
-        assert single.provenance.delegate == "single"
-        assert sharded.provenance.delegate == "sharded"
-        assert sharded.provenance.devices == 4
-        assert np.array_equal(single.output, sharded.output)
+        program = SESSION_PROGRAMS[kind](name=f"session-{kind}-{mode}")
+        problem = Problem(program=program, grid=grid, iterations=STEPS)
+        attribution = stage_cache_attribution()
 
-    def test_provenance_records_stages_and_fusion(self):
-        grid = make_grid(SHAPE, kind="random", seed=2, boundary="reflect")
-        with StencilSession(devices=4) as session:
-            solution = session.solve(
-                Problem(program=two_stage_chain(), grid=grid,
-                        iterations=STEPS), mode="sharded")
+        def stage_hits():
+            return {name: attribution.row(program.name, name)["hit"]
+                    for name in program.stage_names}
+
+        with StencilSession(devices=FAST_POOL) as session:
+            if (kind, mode) == ("dag", "sharded"):
+                with pytest.raises(ValidationError, match="chain"):
+                    session.solve(problem, mode=mode)
+                return
+            session.solve(problem, mode=mode)
+            before = stage_hits()
+            solution = session.solve(problem, mode=mode)
+            after = stage_hits()
+            decision = session.decide(problem)
+        # a warm solve compiles the program once: one hit per stage tap
+        assert {name: after[name] - before[name] for name in after} \
+            == {stage.name: len(stage.taps) for stage in program.stages}
+
+        executor, groups = SESSION_ROUTES[kind, mode]
         provenance = solution.provenance
-        assert len(provenance.stage_fingerprints) == 2
+        assert provenance.executor == executor
+        assert provenance.delegate is None
+        assert provenance.mode_requested == mode
+        if mode == "auto":
+            assert decision.executor == executor
+            assert provenance.reason == decision.reason
+        assert provenance.fusion_groups == groups
+        assert provenance.as_dict()["fusion_groups"] \
+            == [list(group) for group in groups]
+
+        plan = compile_program(program, grid)
+        assert solution.fingerprint == solution.compiled.fingerprint \
+            == plan.fingerprint
+        assert provenance.stage_fingerprints == tuple(
+            f"{cstage.name}:{fingerprint}" for cstage in plan.stages
+            for fingerprint in cstage.fingerprints)
         assert [entry.split(":")[0]
                 for entry in provenance.stage_fingerprints] \
-            == ["heat", "blur"]
-        assert provenance.fusion_groups == (("heat", "blur"),)
-        payload = provenance.as_dict()
-        assert payload["fusion_groups"] == [["heat", "blur"]]
-        assert solution.fingerprint == solution.compiled.fingerprint
+            == STAGE_TAPS[kind]
 
-    def test_auto_routes_and_matches(self):
+        single = ProgramRunner().execute(plan, grid, STEPS)
+        if executor == "sharded":
+            direct = ShardedProgramRunner(FAST_POOL).execute(
+                plan, grid, STEPS)
+        else:
+            direct = single
+        assert provenance.devices == getattr(direct, "device_count", 1)
+        assert run_bill(solution.result) == run_bill(direct)
+        assert solution.output.tobytes() == single.output.tobytes()
+
+    def test_program_mode_is_gone(self):
         grid = make_grid(SHAPE, kind="random", seed=2)
-        with StencilSession(devices=2) as session:
-            auto = session.solve(
+        with StencilSession() as session:
+            assert "program" not in session.registry.available()
+            for problem in (Problem(program=two_stage_chain(), grid=grid,
+                                    iterations=2),
+                            Problem(HEAT, grid, 2)):
+                with pytest.raises(ValidationError,
+                                   match="unknown solve mode 'program'"):
+                    session.solve(problem, mode="program")
+
+    def test_solution_summary(self):
+        grid = make_grid(SHAPE, kind="random", seed=2)
+        with StencilSession() as session:
+            solution = session.solve(
                 Problem(program=two_stage_chain(), grid=grid,
-                        iterations=STEPS))
-            pinned = session.solve(
-                Problem(program=two_stage_chain(), grid=grid,
-                        iterations=STEPS), mode=auto.provenance.delegate)
-        assert auto.provenance.delegate in ("single", "sharded")
-        assert auto.provenance.reason
-        assert np.array_equal(auto.output, pinned.output)
+                        iterations=STEPS, tag="rk"), mode="single")
+        summary = solution.summary()
+        assert summary["tag"] == "rk"
+        assert summary["fingerprint"] == solution.compiled.fingerprint
+        assert summary["iterations"] == STEPS
+        assert summary["elapsed_seconds"] == solution.elapsed_seconds
+        assert summary["gstencil_per_second"] \
+            == solution.gstencil_per_second
+        assert summary["executor"] == "single"
+        assert summary["delegate"] is None
+        assert summary["stage_fingerprints"] \
+            == list(solution.provenance.stage_fingerprints)
+        assert summary["fusion_groups"] == [["heat"], ["blur"]]
+
+    def test_run_takes_a_compiled_program(self):
+        grid = make_grid(SHAPE, kind="random", seed=2, boundary="reflect")
+        problem = Problem(program=two_stage_chain(), grid=grid,
+                          iterations=STEPS)
+        with StencilSession() as session:
+            plan = session.compile(problem)
+            ran = session.run(plan, grid, STEPS, tag="pre")
+            solved = session.solve(problem, mode="single")
+        assert run_bill(ran.result) == run_bill(solved.result)
+        assert ran.result.tag == "pre"
+        assert ran.fingerprint == ""
+        assert ran.provenance == dataclasses.replace(
+            solved.provenance, reason="precompiled plan executed directly")
+
+    def test_baseline_rejects_programs(self):
+        grid = make_grid(SHAPE, kind="random", seed=2)
+        with StencilSession() as session:
+            with pytest.raises(ValidationError, match="a program problem "
+                               "cannot run on a baseline comparator"):
+                session.solve_baseline(
+                    Problem(program=two_stage_chain(), grid=grid,
+                            iterations=2), "cudnn")
 
     def test_served_mode_rejected_for_programs(self):
         grid = make_grid(SHAPE, kind="random", seed=2)

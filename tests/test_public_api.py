@@ -45,6 +45,7 @@ REMOVED_NAMES = (
     "solve_sharded",
     "default_session",
     "reset_default_session",
+    "ProgramSessionExecutor",
 )
 REMOVED_FROM = ("repro", "repro.core", "repro.service", "repro.session")
 
