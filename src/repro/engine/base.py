@@ -37,16 +37,18 @@ are scratch of the calling thread's arena (see
 next slot-table sweep.  Nothing borrowed leaves a sweep — the ``tcu-sim``
 sweep returns the priced launch without an output.
 
-:func:`prepare_sweep` precomputes everything the steps share for one plan;
-executors (:class:`SweepExecutor` implementations) own the loop around the
-steps — how many sweeps, on how many devices, with what halo movement.
+:func:`prepare_sweep` precomputes everything the steps share for one plan,
+once per plan and device (:func:`plan_memo`); executors
+(:class:`SweepExecutor` implementations) own the loop around the steps —
+how many sweeps, on how many devices, with what halo movement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import (Any, Callable, Hashable, Optional, Protocol, Sequence,
+                    Tuple, runtime_checkable)
 
 import numpy as np
 
@@ -94,12 +96,55 @@ class SweepExecutor(Protocol):
         ...
 
 
+#: Facts one plan memoizes (:func:`plan_memo`) before its memo is cleared
+#: and starts over: a sweep context per device and backend, the sharded
+#: identity, the leftover request (and, without a cache, plan) and the
+#: point count per split of fused and leftover sweeps.  A plan run on more
+#: devices or at more iteration counts re-derives them.
+PLAN_MEMO_LIMIT = 32
+
+
+class _PlanMemo(dict):
+    """One plan's derived facts.  It pickles and copies empty: the sweep
+    closures it holds belong to this process, and every fact is derived
+    again on demand."""
+
+    def __reduce__(self):
+        return type(self), ()
+
+
+def plan_memo(owner: Any, key: Hashable, build: Callable[[], Any]) -> Any:
+    """``build()``, derived once per plan: memoized on ``owner`` — a plan,
+    or a fact its memo holds (a context's priced launch) — under ``key``,
+    so it lives exactly as long as its owner.
+
+    ``key`` must name every input of ``build`` beyond the owner.  A plan
+    rebuilt by ``dataclasses.replace`` (a rebranded cache hit) starts with
+    an empty memo, so a renamed pattern never inherits another's launch
+    name.  Racing threads may both build a cold key; the first stored is
+    kept.  Holds at most :data:`PLAN_MEMO_LIMIT` facts.
+    """
+    state = vars(owner)
+    memo = state.get("_memo")
+    if memo is None:
+        # frozen dataclass: the memo rides outside the dataclass fields
+        memo = state.setdefault("_memo", _PlanMemo())
+    value = memo.get(key)
+    if value is None:
+        value = build()
+        if len(memo) >= PLAN_MEMO_LIMIT:
+            memo.clear()
+        value = memo.setdefault(key, value)
+    return value
+
+
 @dataclass(frozen=True)
 class SweepContext:
-    """Precomputed per-plan state shared by every sweep of a run.
+    """Precomputed per-plan state shared by every sweep of a plan on one
+    device.
 
-    ``sweep`` is the backend-specific sweep callable, bound once by
-    :func:`prepare_sweep` from the plan's registered backend
+    ``sweep`` is the backend-specific sweep callable, bound once per plan
+    and device by :func:`prepare_sweep` from the plan's registered backend
     (:func:`repro.core.codegen.get_backend`); :func:`run_sweep` dispatches
     through it.
     """
@@ -124,7 +169,7 @@ class SweepContext:
         """The modelled launch of one sweep of this plan (``output`` is
         ``None``): the backend's
         :meth:`~repro.core.codegen.StencilBackend.price`, priced once per
-        context.
+        context — so once per plan and device.
 
         Every sweep of a plan bills the same launch, so every sweep returns
         this one, and the sharded engine prices a layout's bill from it
@@ -159,14 +204,25 @@ class SweepContext:
 
 def prepare_sweep(compiled: CompiledStencil,
                   spec: Optional[GPUSpec] = None) -> SweepContext:
-    """Build the :class:`SweepContext` for one compiled plan.
+    """The :class:`SweepContext` of one compiled plan on one device.
 
     ``spec`` overrides the device the sweeps are costed on (the sharded
     executor runs each shard's plan against one device of its cluster);
     it defaults to the spec the stencil was compiled for.  The plan's
-    backend is resolved here — once per run, not per sweep — and its sweep
-    closure attached to the context.
+    backend is resolved here and its sweep closure attached to the
+    context, once per plan and device: the context is memoized on the plan
+    (:func:`plan_memo`), keyed by the device object and the registered
+    backend, so a warm run binds nothing.
     """
+    backend = get_backend(compiled.backend)
+    # the context holds ``spec``, so its id names it while the entry lives
+    key = ("sweep", None if spec is None else id(spec), backend)
+    return plan_memo(compiled, key,
+                     lambda: _bind_sweep(compiled, spec, backend))
+
+
+def _bind_sweep(compiled: CompiledStencil, spec: Optional[GPUSpec],
+                backend: Any) -> SweepContext:
     radius = compiled.pattern.radius
     interior = tuple(slice(radius, s - radius) for s in compiled.grid_shape)
     context = SweepContext(
@@ -175,7 +231,6 @@ def prepare_sweep(compiled: CompiledStencil,
         interior=interior,
         launch_name=f"sparstencil/{compiled.pattern.name}",
     )
-    backend = get_backend(compiled.backend)
     # frozen dataclass: the sweep closure needs the context it is attached to
     object.__setattr__(context, "sweep", backend.make_sweep(context))
     return context
@@ -291,9 +346,22 @@ def summarize_launches(results: Sequence[LaunchResult]) -> _LaunchTotals:
     Utilization is weighted by each launch's elapsed time, so a run mixing
     fused and leftover sweeps (or differently sized shards) reports the
     counters an NCU capture over the whole run would.
+
+    A run that billed one launch ``n`` times (every sweep of a one-plan run
+    returns its context's priced launch) is summed once per ``n`` and kept
+    with that launch (:func:`plan_memo`).  The sums stay left to right:
+    ``n`` additions of ``x`` and ``n*x`` can differ in the last bit.
     """
     results = list(results)
     require(len(results) > 0, "summarize_launches needs at least one launch")
+    first = results[0]
+    if all(launch is first for launch in results):
+        return plan_memo(first, ("totals", len(results)),
+                         lambda: _sum_launches(results))
+    return _sum_launches(results)
+
+
+def _sum_launches(results: Sequence[LaunchResult]) -> _LaunchTotals:
     return _LaunchTotals(
         elapsed_seconds=sum(r.elapsed_seconds for r in results),
         compute_seconds=sum(r.compute_seconds for r in results),
@@ -306,7 +374,15 @@ def summarize_launches(results: Sequence[LaunchResult]) -> _LaunchTotals:
 
 def original_points(compiled: CompiledStencil, fused_sweeps: int,
                     leftover_sweeps: int) -> float:
-    """Original-resolution stencil updates for a mixed fused/plain run."""
+    """Original-resolution stencil updates for a mixed fused/plain run,
+    counted once per plan and split of sweeps (:func:`plan_memo`)."""
+    return plan_memo(compiled, ("points", fused_sweeps, leftover_sweeps),
+                     lambda: _original_points(compiled, fused_sweeps,
+                                              leftover_sweeps))
+
+
+def _original_points(compiled: CompiledStencil, fused_sweeps: int,
+                     leftover_sweeps: int) -> float:
     points = 0.0
     if fused_sweeps:
         points += (stencil_points_updated(compiled.pattern,

@@ -93,6 +93,7 @@ from repro.core.pipeline import CompiledStencil, StencilRunResult
 from repro.engine.base import (
     SweepContext,
     original_points,
+    plan_memo,
     prepare_sweep,
     require_grid,
     run_sweep,
@@ -1054,13 +1055,17 @@ class ShardedExecutor(ShardedRunner):
         """One stage ``""`` in one round group of ``halo_depth``.  The
         pinned full-grid request's fingerprint covers the grid, pattern,
         temporal fusion, ``r1``/``r2``, boundary, backend and dtype; the
-        config rides along, as only an ``(r1, r2)`` config may shard."""
+        config rides along, as only an ``(r1, r2)`` config may shard.  The
+        identity is a per-plan fact, fingerprinted once (:func:`plan_memo`).
+        """
+        identity = plan_memo(compiled, "shard_identity", lambda: (
+            "kernel", window_request(
+                compiled, compiled.spec, compiled.grid_shape).fingerprint,
+            compiled.plan.config))
         return ShardStages(
             stages=(("", compiled),),
             groups=(("",) * self.halo_depth,),
-            identity=("kernel", window_request(
-                compiled, compiled.spec, compiled.grid_shape).fingerprint,
-                compiled.plan.config))
+            identity=identity)
 
     def partition(self, compiled: CompiledStencil) -> GridPartition:
         """Tile the compiled grid, aligned to the plan's layout tiles, at
@@ -1069,7 +1074,8 @@ class ShardedExecutor(ShardedRunner):
         return self._partition(self._stages(compiled))[0]
 
     def execute(self, compiled: CompiledStencil, grid: Grid,
-                iterations: int) -> ShardedRunResult:
+                iterations: int, *, tag: Optional[str] = None
+                ) -> ShardedRunResult:
         require_positive_int(iterations, "iterations")
         require_grid(grid, compiled.grid_shape, compiled.boundary)
         sweeps, leftover = fused_iterations(iterations,
@@ -1094,4 +1100,5 @@ class ShardedExecutor(ShardedRunner):
             sweeps=sweeps,
             points_updated=points,
             device_count=spec.device_count,
+            tag=tag,
         )

@@ -27,15 +27,12 @@ from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from repro.core.fusion import fused_iterations
-from repro.core.pipeline import (
-    CompiledStencil,
-    StencilRunResult,
-    compile_cached,
-)
+from repro.core.pipeline import CompiledStencil, StencilRunResult
 from repro.engine.base import (
     SweepContext,
     billed_launch,
     original_points,
+    plan_memo,
     prepare_sweep,
     require_grid,
     run_sweep,
@@ -73,9 +70,13 @@ def leftover_plan(compiled: CompiledStencil, cache=None) -> CompiledStencil:
     compiled stencils; without one, the plan is memoised on ``compiled``
     itself so repeated runs of the same stencil still compile it only once.
     """
+    from repro.service.fingerprint import CompileRequest
+
     require(compiled.temporal_fusion > 1,
             "leftover_plan only applies to temporally fused stencils")
-    kwargs = dict(
+    # the companion's request is a per-plan fact, fingerprinted once
+    request = plan_memo(compiled, "leftover", lambda: CompileRequest.build(
+        compiled.original_pattern, compiled.grid_shape,
         dtype=compiled.plan.dtype,
         spec=compiled.spec,
         engine=compiled.engine,
@@ -85,20 +86,12 @@ def leftover_plan(compiled: CompiledStencil, cache=None) -> CompiledStencil:
         conversion_method=compiled.conversion_method,
         boundary=compiled.boundary,
         backend=compiled.backend,
-    )
+    ))
     if cache is not None:
         # the cache's own per-fingerprint locks dedupe concurrent compiles
-        return compile_cached(compiled.original_pattern, compiled.grid_shape,
-                              cache=cache, **kwargs)
+        return cache.get_or_compile(request)
     with _LEFTOVER_MEMO_LOCK:
-        memoised = getattr(compiled, "_leftover_plan", None)
-        if memoised is not None:
-            return memoised
-        plan = compile_cached(compiled.original_pattern, compiled.grid_shape,
-                              **kwargs)
-        # frozen dataclass: attach the memo without touching dataclass fields
-        object.__setattr__(compiled, "_leftover_plan", plan)
-        return plan
+        return plan_memo(compiled, "leftover_plan", request.compile)
 
 
 class Block(NamedTuple):
@@ -233,7 +226,8 @@ class SingleDeviceExecutor:
         self.cache = cache
 
     def execute(self, compiled: CompiledStencil, grid: Grid,
-                iterations: int) -> StencilRunResult:
+                iterations: int, *, tag: Optional[str] = None
+                ) -> StencilRunResult:
         require_positive_int(iterations, "iterations")
         require_grid(grid, compiled.grid_shape, compiled.boundary)
         fused, leftover = fused_iterations(iterations,
@@ -255,4 +249,5 @@ class SingleDeviceExecutor:
             overhead_seconds=dict(compiled.overhead_seconds),
             leftover_sweeps=leftover,
             points_updated=points,
+            tag=tag,
         )

@@ -451,7 +451,8 @@ def check_problem(problem: Any, policy: Optional[Any] = None, *,
 
     # -- the compile request (SP100) -------------------------------------- #
     try:
-        request = problem.compile_request()
+        request = cache.request_for(problem) if cache is not None \
+            else problem.compile_request()
     except ValidationError as exc:
         findings.append(emit("SP100", str(exc), location="problem",
                              details={"stage": "resolve"}))

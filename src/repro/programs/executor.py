@@ -114,8 +114,8 @@ class ProgramRunner:
     def __init__(self, spec: Optional[GPUSpec] = None) -> None:
         self.spec = spec
 
-    def execute(self, plan: ProgramPlan, grid: Grid,
-                steps: int) -> StencilRunResult:
+    def execute(self, plan: ProgramPlan, grid: Grid, steps: int, *,
+                tag: Optional[str] = None) -> StencilRunResult:
         _check_run(plan, grid, steps)
         stages = tuple(
             (cstage.name, tuple((source, prepare_sweep(compiled, self.spec))
@@ -131,6 +131,7 @@ class ProgramRunner:
             overhead_seconds={"program_compile": plan.compile_seconds},
             leftover_sweeps=0,
             points_updated=points,
+            tag=tag,
         )
 
 
@@ -192,8 +193,8 @@ class ShardedProgramRunner(ShardedRunner):
         layout = self._lookup(stages)[1]
         return layout.partition, layout.groups
 
-    def execute(self, plan: ProgramPlan, grid: Grid,
-                steps: int) -> ShardedRunResult:
+    def execute(self, plan: ProgramPlan, grid: Grid, steps: int, *,
+                tag: Optional[str] = None) -> ShardedRunResult:
         _check_run(plan, grid, steps)
         spec, layout, shard_compile_seconds = self._fetch_layout(
             self._stages(plan), stages=plan.stage_count)
@@ -209,6 +210,7 @@ class ShardedProgramRunner(ShardedRunner):
             sweeps=schedule.sweeps,
             points_updated=points,
             device_count=spec.device_count,
+            tag=tag,
         )
 
 

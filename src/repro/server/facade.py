@@ -273,7 +273,7 @@ class StencilServer:
             deadline_seconds = self.config.default_deadline_seconds
         deadline = None if deadline_seconds is None \
             else time.perf_counter() + float(deadline_seconds)
-        compile_request = request.compile_request()
+        compile_request = self.cache.request_for(request)
         if self.config.lint_admission:
             self._lint_admission(request, deadline_seconds)
         span = None

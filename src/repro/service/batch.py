@@ -178,7 +178,7 @@ def compile_batch(
     for request in requests:
         require_positive_int(request.iterations, "iterations")
 
-    compile_requests = [request.compile_request() for request in requests]
+    compile_requests = [cache.request_for(request) for request in requests]
     distinct: Dict[str, CompileRequest] = {}
     for creq in compile_requests:
         distinct.setdefault(creq.fingerprint, creq)

@@ -7,9 +7,11 @@ an LRU policy, and optionally persisted to disk so a fresh process starts
 warm.  All operations are thread-safe — the batched solve service compiles
 distinct plans from a thread pool against a shared cache.
 
-Beside the plan LRU the cache keeps a second, in-memory table: the sharded
+Beside the plan LRU the cache keeps two in-memory tables: the sharded
 executors' layouts (:meth:`CompileCache.shard_layout`), so a warm sharded
-run looks up one layout instead of one plan per shard window.
+run looks up one layout instead of one plan per shard window, and the
+problems' canonical compile requests (:meth:`CompileCache.request_for`), so
+a warm solve fingerprints nothing.
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
+from repro.core.codegen import resolve_backend
 from repro.core.pipeline import CompiledStencil
 from repro.obs.metrics import global_registry
 from repro.obs.trace import span as obs_span
 from repro.service.fingerprint import CompileRequest
 from repro.stencils.pattern import StencilPattern
+from repro.tcu.spec import device_key
 from repro.util.validation import require, require_positive_int
 
 __all__ = ["CacheStats", "CacheEntry", "CompileCache", "rebrand"]
@@ -48,6 +52,43 @@ _PERSIST_PAYLOAD_VERSION = 3
 #: and per-window sweep contexts over plans the LRU also holds; a workload
 #: cycling through more distinct layouts than this rebuilds them.
 SHARD_LAYOUT_LIMIT = 64
+
+
+#: Canonical compile requests one cache memoizes by their problems'
+#: fingerprinted inputs (:meth:`CompileCache.request_for`) before the table
+#: is cleared and starts over.
+REQUEST_MEMO_LIMIT = 256
+
+
+def _request_key(problem: Any) -> Optional[Tuple[Any, ...]]:
+    """Every input :meth:`Problem.compile_request` reads, by value, or
+    ``None`` when an option value is unhashable.
+
+    The pattern hashes by value, name included (a rebranded hit must keep
+    its own name); ``repr`` of its weights tells ``-0.0`` from ``0.0``,
+    which float ``==`` does not.  The grid contributes its shape and
+    boundary, each option its type and value (``spec`` by
+    :func:`~repro.tcu.spec.device_key`), and options naming no backend the
+    default one resolves to now (``REPRO_BACKEND`` is read per request).
+    """
+    pattern = problem.pattern
+    if pattern is None:
+        return None     # a program: compile_request() says why it has none
+    items = []
+    for name, value in problem.options.items():
+        if name == "spec":
+            value = device_key(value)
+        else:
+            try:
+                hash(value)
+            except TypeError:
+                return None
+        items.append((name, type(value), value))
+    backend = problem.options.get("backend")
+    grid = problem.grid
+    return (pattern, repr(pattern.weights), tuple(grid.shape),
+            getattr(grid, "boundary", None), tuple(items),
+            resolve_backend() if backend is None else None)
 
 
 _PIPELINE_VERSION: Optional[str] = None
@@ -112,10 +153,6 @@ def rebrand(compiled: CompiledStencil, request: CompileRequest) -> CompiledStenc
                    pattern=options.effective_pattern,
                    plan=plan,
                    search=search)
-
-
-#: Backwards-compatible alias from when the helper was module-private.
-_rebrand = rebrand
 
 
 @dataclass
@@ -205,6 +242,9 @@ class CompileCache:
         #: Sharded-run layouts by content key — a table apart from the plan
         #: LRU, bounded by :data:`SHARD_LAYOUT_LIMIT`.
         self._layouts: Dict[Hashable, Any] = {}
+        #: Canonical compile requests by their problems' fingerprinted
+        #: inputs, bounded by :data:`REQUEST_MEMO_LIMIT`.
+        self._requests: Dict[Hashable, CompileRequest] = {}
         # Re-register into the process-wide metrics registry (weakref'd: a
         # garbage-collected cache drops out of the unified snapshot).
         self.metrics_section = global_registry().register_provider(
@@ -230,7 +270,7 @@ class CompileCache:
             if cached is not None:
                 record("hit")
                 span.set(outcome="hit")
-                return _rebrand(cached, request)
+                return rebrand(cached, request)
 
             with self._fingerprint_lock(fingerprint):
                 # Re-check: another thread may have compiled while we waited.
@@ -238,7 +278,7 @@ class CompileCache:
                 if cached is not None:
                     record("hit")
                     span.set(outcome="hit")
-                    return _rebrand(cached, request)
+                    return rebrand(cached, request)
                 persisted = self._load_persisted(fingerprint,
                                                  request.options.backend)
                 if persisted is not None:
@@ -252,7 +292,7 @@ class CompileCache:
                     record("disk")
                     span.set(outcome="disk",
                              saved_compile_ms=compile_seconds * 1e3)
-                    return _rebrand(compiled, request)
+                    return rebrand(compiled, request)
                 start = time.perf_counter()
                 compiled = request.compile()
                 elapsed = time.perf_counter() - start
@@ -285,6 +325,32 @@ class CompileCache:
                 self._layouts.clear()
             return self._layouts.setdefault(key, layout), False
 
+    def request_for(self, problem: Any) -> CompileRequest:
+        """The canonical compile request of a kernel
+        :class:`~repro.session.Problem`, fingerprinted once per distinct
+        problem.
+
+        Memoized by value on every input :meth:`Problem.compile_request
+        <repro.session.Problem.compile_request>` reads — never by object
+        identity, as problems and grids are mutable and callers build fresh
+        ones per request.  A problem with an unhashable option value is
+        fingerprinted afresh, and a program problem raises as
+        ``compile_request()`` does.  Equal to ``problem.compile_request()``.
+        """
+        key = _request_key(problem)
+        if key is None:
+            return problem.compile_request()
+        with self._lock:
+            request = self._requests.get(key)
+        if request is not None:
+            return request
+        request = problem.compile_request()
+        request.fingerprint  # derived before the request is shared
+        with self._lock:
+            if len(self._requests) >= REQUEST_MEMO_LIMIT:
+                self._requests.clear()
+            return self._requests.setdefault(key, request)
+
     def compile(self, pattern: StencilPattern, grid_shape: Tuple[int, ...],
                 **compile_kwargs) -> CompiledStencil:
         """Drop-in cached equivalent of :func:`repro.compile_stencil`."""
@@ -311,8 +377,8 @@ class CompileCache:
         return stats
 
     def clear(self, remove_persisted: bool = False) -> None:
-        """Drop all in-memory entries and memoized sharded layouts, and reset
-        the statistics.
+        """Drop all in-memory entries, memoized sharded layouts and compile
+        requests, and reset the statistics.
 
         Persisted plans are kept by default (a later lookup resurrects them
         as disk hits); pass ``remove_persisted=True`` to delete them too.
@@ -328,6 +394,7 @@ class CompileCache:
         with self._lock:
             self._entries.clear()
             self._layouts.clear()
+            self._requests.clear()
             self.stats = CacheStats()
         if remove_persisted and self.persist_dir is not None:
             for path in self.persist_dir.glob("*.plan.pkl"):

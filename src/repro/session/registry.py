@@ -18,7 +18,6 @@ branches on the plan type.  New workloads register additional modes on an
 from __future__ import annotations
 
 import abc
-from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.programs.compile import ProgramPlan, compile_program
@@ -70,9 +69,12 @@ class SessionExecutor(abc.ABC):
     def _resolve_plan(problem: Problem, cache: "Any",
                       compiled: "Any", compile_request: "Any"):
         """``(compiled, compile_request)`` — compiling through ``cache``
-        when the session has not resolved them already.  A program compiles
-        stage by stage into a :class:`~repro.programs.ProgramPlan` and has
-        no one compile request (``None``)."""
+        when the session has not resolved them already.  A kernel's request
+        comes from the cache's request memo
+        (:meth:`~repro.service.CompileCache.request_for`), so a warm solve
+        fingerprints nothing.  A program compiles stage by stage into a
+        :class:`~repro.programs.ProgramPlan` and has no one compile request
+        (``None``)."""
         if problem.is_program:
             if compiled is None:
                 compiled = compile_program(problem.program, problem.grid,
@@ -80,16 +82,10 @@ class SessionExecutor(abc.ABC):
                                            options=dict(problem.options))
             return compiled, None
         if compile_request is None:
-            compile_request = problem.compile_request()
+            compile_request = cache.request_for(problem)
         if compiled is None:
             compiled = cache.get_or_compile(compile_request)
         return compiled, compile_request
-
-    @staticmethod
-    def _tagged(result: "Any", tag: Optional[str]) -> "Any":
-        if tag is not None and getattr(result, "tag", None) != tag:
-            result = replace(result, tag=tag)
-        return result
 
 
 def _fingerprint(compiled: "Any", compile_request: "Any") -> str:
@@ -132,9 +128,9 @@ class SingleDeviceSessionExecutor(SessionExecutor):
         compiled, compile_request = self._resolve_plan(
             problem, session.cache, compiled, compile_request)
         result, fusion_groups = self.sweep(session, compiled, problem.grid,
-                                           problem.iterations)
+                                           problem.iterations, problem.tag)
         return Solution(
-            result=self._tagged(result, problem.tag),
+            result=result,
             compiled=compiled,
             fingerprint=_fingerprint(compiled, compile_request),
             provenance=Provenance(
@@ -146,23 +142,26 @@ class SingleDeviceSessionExecutor(SessionExecutor):
             tag=problem.tag)
 
     @staticmethod
-    def sweep(session: "Any", compiled: "Any", grid: "Any", iterations: int
+    def sweep(session: "Any", compiled: "Any", grid: "Any", iterations: int,
+              tag: Optional[str] = None
               ) -> Tuple["Any", Tuple[Tuple[str, ...], ...]]:
-        """``(result, fusion groups)`` of a resolved plan run on one device:
-        a kernel on the :class:`~repro.engine.SingleDeviceExecutor`
-        (leftover plans from the session cache), a program on the
+        """``(result, fusion groups)`` of a resolved plan run on one device,
+        the result built carrying ``tag``: a kernel on the
+        :class:`~repro.engine.SingleDeviceExecutor` (leftover plans from the
+        session cache), a program on the
         :class:`~repro.programs.ProgramRunner`."""
         if isinstance(compiled, ProgramPlan):
             from repro.programs.executor import ProgramRunner
 
             # no exchange exists on one device, so nothing fuses: the
             # executed grouping is one stage per group
-            return (ProgramRunner().execute(compiled, grid, iterations),
+            return (ProgramRunner().execute(compiled, grid, iterations,
+                                            tag=tag),
                     tuple((name,) for name in compiled.program.stage_names))
         from repro.engine.single import SingleDeviceExecutor
 
         return SingleDeviceExecutor(cache=session.cache).execute(
-            compiled, grid, iterations), ()
+            compiled, grid, iterations, tag=tag), ()
 
 
 class ShardedSessionExecutor(SessionExecutor):
@@ -184,12 +183,16 @@ class ShardedSessionExecutor(SessionExecutor):
         if isinstance(compiled, ProgramPlan):
             from repro.programs.executor import ShardedProgramRunner
 
-            # a program's halo depth is its fusion-group span
+            if policy.halo_depth is not None:
+                raise ValidationError(
+                    f"halo_depth does not apply to programs — a sharded "
+                    f"program's halo depth is its fusion-group span; got "
+                    f"halo_depth={policy.halo_depth!r}")
             runner = ShardedProgramRunner(
                 devices, shard_grid=policy.shard_grid, cache=session.cache,
                 max_workers=max_workers, overlap=policy.overlap)
             result = runner.execute(compiled, problem.grid,
-                                    problem.iterations)
+                                    problem.iterations, tag=problem.tag)
             # with a cache the run memoized its layout: this is a lookup
             fusion_groups = runner.partition(compiled)[1]
         else:
@@ -203,9 +206,9 @@ class ShardedSessionExecutor(SessionExecutor):
                                        halo_depth=halo_depth,
                                        overlap=policy.overlap)
             result = executor.execute(compiled, problem.grid,
-                                      problem.iterations)
+                                      problem.iterations, tag=problem.tag)
         return Solution(
-            result=self._tagged(result, problem.tag),
+            result=result,
             compiled=compiled,
             fingerprint=_fingerprint(compiled, compile_request),
             provenance=Provenance(

@@ -191,16 +191,20 @@ class StencilSession:
                 mode = decision.executor
                 reason = decision.reason
                 if decision.sharded:
+                    changes: Dict[str, Any] = {}
                     if policy.devices is None:
-                        policy = replace(
-                            policy, devices=self.scheduler.spec_for(
-                                decision, compiled))
-                    if policy.halo_depth is None and not problem.is_program:
-                        # run at the depth the routing model priced (a
-                        # program's depth is its fusion-group span instead)
-                        policy = replace(policy,
-                                         halo_depth=decision.halo_depth,
-                                         overlap=decision.overlap)
+                        changes["devices"] = self.scheduler.spec_for(
+                            decision, compiled)
+                    # run at the overlap the routing model priced, and a
+                    # kernel at its depth unless the policy pins one (a
+                    # program's depth is its fusion-group span)
+                    if problem.is_program:
+                        changes["overlap"] = decision.overlap
+                    elif policy.halo_depth is None:
+                        changes.update(halo_depth=decision.halo_depth,
+                                       overlap=decision.overlap)
+                    if changes:
+                        policy = replace(policy, **changes)
 
             executor = self.registry.create(mode)
             if problem.is_program and mode not in ("single", "sharded"):
@@ -270,11 +274,11 @@ class StencilSession:
         with self.tracer.span("run", iterations=iterations,
                               tag=tag) as root_span:
             result, fusion_groups = SingleDeviceSessionExecutor.sweep(
-                self, compiled, grid, iterations)
+                self, compiled, grid, iterations, tag)
             root_span.add_device_seconds(result.elapsed_seconds)
             trace_id = root_span.trace_id
         return Solution(
-            result=SessionExecutor._tagged(result, tag),
+            result=result,
             compiled=compiled,
             fingerprint="",
             provenance=Provenance(

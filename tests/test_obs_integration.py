@@ -216,8 +216,10 @@ class TestLoopSpansSurviveTheMemo:
     modelled device seconds."""
 
     def _loop_spans(self, tracer, session, problem):
-        solution = session.solve(problem, SolvePolicy(mode="sharded",
-                                                      halo_depth=2))
+        # a program's depth is its fusion-group span, never a policy's
+        solution = session.solve(problem, SolvePolicy(
+            mode="sharded",
+            halo_depth=None if problem.is_program else 2))
         spans = tracer.spans(solution.provenance.trace_id)
         assert validate_spans(spans) == []
         by_id = {s.span_id: s for s in spans}

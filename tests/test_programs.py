@@ -586,6 +586,47 @@ class TestSessionPrograms:
         assert plan.fingerprint == again.fingerprint
         assert plan.stage_count == 2
 
+    def test_auto_sharded_program_runs_at_the_priced_overlap(self):
+        """``auto`` runs a sharded program at the overlap the scheduler
+        priced it at (``SessionConfig.overlap``), as it runs kernels."""
+        grid = make_grid(SHAPE, kind="random", seed=2)
+        problem = Problem(program=two_stage_chain(), grid=grid,
+                          iterations=STEPS)
+        pool = MultiDeviceSpec(device_count=4, interconnect_bandwidth_gbs=1e4,
+                               link_latency_seconds=1e-9)
+        with StencilSession(devices=pool, overlap=False) as session:
+            decision = session.decide(problem)
+            solution = session.solve(problem)
+            plan = session.compile(problem)
+            spec = session.scheduler.spec_for(decision, plan)
+        assert decision.executor == "sharded"
+        assert decision.overlap is False
+        assert solution.result.overlap is False
+        direct = ShardedProgramRunner(spec, overlap=False).execute(
+            plan, grid, STEPS)
+        assert solution.result.halo_exposed_seconds \
+            == direct.halo_exposed_seconds > 0.0
+        assert run_bill(solution.result) == run_bill(direct)
+
+    @pytest.mark.parametrize("mode", ["sharded", "auto"])
+    def test_sharded_program_rejects_an_explicit_halo_depth(self, mode):
+        """A sharded program's depth is its fusion-group span: an explicit
+        ``halo_depth`` is an error, never silently dropped."""
+        grid = make_grid(SHAPE, kind="random", seed=2)
+        problem = Problem(program=two_stage_chain(), grid=grid,
+                          iterations=STEPS)
+        pool = MultiDeviceSpec(device_count=4, interconnect_bandwidth_gbs=1e4,
+                               link_latency_seconds=1e-9)
+        with StencilSession(devices=pool) as session:
+            assert session.decide(problem).executor == "sharded"
+            with pytest.raises(ValidationError,
+                               match="fusion-group span"):
+                session.solve(problem, mode=mode, halo_depth=2)
+            # one device has no halo: single mode ignores the depth, as it
+            # does for kernels
+            single = session.solve(problem, mode="single", halo_depth=2)
+        assert single.provenance.executor == "single"
+
     def test_decide_program_gates(self):
         grid = make_grid(SHAPE, kind="random", seed=2)
         with StencilSession(devices=4) as session:

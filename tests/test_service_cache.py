@@ -277,13 +277,13 @@ class TestRebrandHelper:
         assert rebranded.plan.a_operand is compiled.plan.a_operand
         assert rebranded.plan.lut is compiled.plan.lut
 
-    def test_exported_and_aliased(self):
+    def test_exported(self):
         import repro.service.cache as cache_module
         from repro.service import rebrand
         assert "rebrand" in cache_module.__all__
         assert rebrand is cache_module.rebrand
-        # the old private name keeps working for out-of-tree callers
-        assert cache_module._rebrand is rebrand
+        # 2.0 keeps no deprecated twin of the public name
+        assert not hasattr(cache_module, "_rebrand")
 
 
 class TestPersistence:

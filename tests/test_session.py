@@ -271,9 +271,10 @@ class TestRegistry:
                 compiled, creq = self._resolve_plan(
                     problem, session.cache, compiled, compile_request)
                 result = SingleDeviceExecutor(cache=session.cache).execute(
-                    compiled, problem.grid, problem.iterations)
+                    compiled, problem.grid, problem.iterations,
+                    tag=problem.tag)
                 return Solution(
-                    result=self._tagged(result, problem.tag),
+                    result=result,
                     compiled=compiled,
                     fingerprint=creq.fingerprint,
                     provenance=Provenance(
